@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CogrelayError, ConfigError, Infeasible
 from .model import (FadingLink, ModulationSpec, NetworkScenario, PowerProfile,
@@ -122,7 +122,8 @@ def _silent_row(x_db, threshold, K, gp, mod: ModulationSpec,
 
 def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float,
                  K: int, mod: ModulationSpec, analytic_only: bool,
-                 mc_only: bool) -> SweepRow:
+                 mc_only: bool) -> tuple[SweepRow, PowerProfile | None]:
+    """The row's closed-form cells, plus its powers if Monte Carlo is due."""
     gp = db_to_linear(x_db if plan.x_axis == "primary_snr_db"
                       else cfg.primary_snr_db)
     if plan.x_axis == "secondary_snr_db":
@@ -133,18 +134,17 @@ def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float,
     scenario = cfg.network_scenario(K)
 
     if threshold == 0.0:
-        return _silent_row(x_db, threshold, K, gp, mod)
+        return _silent_row(x_db, threshold, K, gp, mod), None
     try:
         gs, gr = _solve_powers(scenario, gp, cap_s, cap_r, threshold)
     except Infeasible:
-        return _silent_row(x_db, threshold, K, gp, mod, error="infeasible")
+        return _silent_row(x_db, threshold, K, gp, mod, error="infeasible"), None
     if gs <= 0.0 or gr <= 0.0:
-        return _silent_row(x_db, threshold, K, gp, mod, error="infeasible")
+        return _silent_row(x_db, threshold, K, gp, mod, error="infeasible"), None
 
     theta = scenario.secondary_threshold
     inputs = _secondary_inputs(scenario, gp, gs, gr)
-    analytic_oc = analytic_asep = asep_fallback = None
-    mc_oc = mc_oc_ci = mc_asep = mc_asep_ci = None
+    analytic_oc = analytic_asep = asep_fallback = powers = None
     error = ""
     try:
         if not mc_only:
@@ -157,37 +157,46 @@ def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float,
         if not analytic_only:
             powers = PowerProfile(gamma_bar_p=gp, gamma_bar_s=gs, gamma_bar_r=gr,
                                   max_gamma_bar_s=cap_s, max_gamma_bar_r=cap_r)
-            est = montecarlo.estimate_outage(
-                scenario, powers, theta, trials=plan.trials, seed=plan.seed,
-                sinr_kind="exact")
-            mc_oc, mc_oc_ci = est.value, est.ci_half_width
-            if scenario.scenario is Scenario.A:
-                sep = montecarlo.estimate_asep(
-                    scenario, powers, mod, trials=plan.trials, seed=plan.seed,
-                    sinr_kind="exact", metric="s1")
-                mc_asep, mc_asep_ci = sep.value, sep.ci_half_width
     except CogrelayError as exc:
         error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
 
     return SweepRow(x_db=x_db, threshold=threshold, K=K, gamma_bar_p=gp,
                     gamma_bar_s=gs, gamma_bar_r=gr, analytic_oc=analytic_oc,
-                    mc_oc=mc_oc, mc_oc_ci=mc_oc_ci, analytic_asep=analytic_asep,
-                    asep_fallback=asep_fallback, mc_asep=mc_asep,
-                    mc_asep_ci=mc_asep_ci, error=error)
+                    mc_oc=None, mc_oc_ci=None, analytic_asep=analytic_asep,
+                    asep_fallback=asep_fallback, mc_asep=None, mc_asep_ci=None,
+                    error=error), powers
 
 
 def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
               mc_only: bool = False,
               mod: ModulationSpec | None = None) -> list[SweepRow]:
     """Evaluate the full (grid point x threshold x relay count) lattice in
-    deterministic order."""
+    deterministic order.  The closed forms are evaluated point by point;
+    the Monte Carlo cells of all rows with one relay count are then
+    estimated together, on one gain draw per trial chunk."""
     mod = mod or mpsk_constants(4)
-    return [
+    points = [
         _sweep_point(cfg, plan, x_db, threshold, K, mod, analytic_only, mc_only)
         for x_db in plan.grid_db()
         for threshold in plan.outage_thresholds
         for K in plan.relay_counts
     ]
+    rows = [row for row, _ in points]
+    pending: dict[int, list[int]] = {}
+    for i, (row, powers) in enumerate(points):
+        if powers is not None:
+            pending.setdefault(row.K, []).append(i)
+    for K, idx in pending.items():
+        scenario = cfg.network_scenario(K)
+        ests = montecarlo.estimate_rows(
+            scenario, [points[i][1] for i in idx], theta=scenario.secondary_threshold,
+            mod=mod if scenario.scenario is Scenario.A else None,
+            trials=plan.trials, seed=plan.seed, sinr_kind="exact")
+        for i, (oc, sep) in zip(idx, ests):
+            rows[i] = replace(rows[i], mc_oc=oc.value, mc_oc_ci=oc.ci_half_width)
+            if sep is not None:
+                rows[i] = replace(rows[i], mc_asep=sep.value, mc_asep_ci=sep.ci_half_width)
+    return rows
 
 
 def write_csv(rows: list[SweepRow], stream) -> None:
@@ -312,14 +321,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.sweep not in cfg.sweeps:
         parser.error(f"config defines no sweep named {args.sweep!r} "
                      f"(available: {', '.join(sorted(cfg.sweeps)) or 'none'})")
-    plan = cfg.sweeps[args.sweep]
-    if args.trials is not None or args.seed is not None:
-        plan = SweepPlan(
-            x_axis=plan.x_axis, start_db=plan.start_db, stop_db=plan.stop_db,
-            step_db=plan.step_db, outage_thresholds=plan.outage_thresholds,
-            relay_counts=plan.relay_counts,
-            trials=args.trials if args.trials is not None else plan.trials,
-            seed=args.seed if args.seed is not None else plan.seed)
+    overrides = {key: value for key, value in
+                 (("trials", args.trials), ("seed", args.seed)) if value is not None}
+    try:
+        plan = replace(cfg.sweeps[args.sweep], **overrides)
+    except ValueError as exc:
+        parser.error(f"bad override: {exc}")
 
     rows = run_sweep(plan, cfg, analytic_only=args.analytic_only,
                      mc_only=args.mc_only)

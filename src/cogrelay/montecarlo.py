@@ -6,6 +6,11 @@ per trial.  Uniforms come from one counter-based Philox-4x64 stream per
 (seed, link) pair, positioned at trial_index * m, so any partition of
 the trial range produces the same union of draws: results are
 bit-identical regardless of chunking or parallel split.
+
+The estimators draw each trial chunk once and score every row sharing
+the (scenario, seed) on it, drawing only the links the secondary SINRs
+read (x, w, y per relay, plus z, v in Scenario (a)) at their
+``link_table`` stream ids, so each gain equals that of a full draw.
 """
 
 from __future__ import annotations
@@ -15,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.special import erfc
 
 from .model import ModulationSpec, NetworkScenario, PowerProfile, Scenario
 from .analytic import PrimaryOutageInputs
 
 __all__ = [
-    "TrialDraw",
     "Estimate",
     "link_table",
     "draw_gains",
@@ -29,6 +34,7 @@ __all__ = [
     "bounded_sinr_s1",
     "bounded_sinr_s2",
     "e2e_sinr",
+    "estimate_rows",
     "estimate_outage",
     "estimate_asep",
     "estimate_primary_outage",
@@ -37,20 +43,6 @@ __all__ = [
 DEFAULT_TRIALS = 100_000
 _CHUNK = 1 << 20
 _U64 = 1 << 64
-
-
-@dataclass(frozen=True)
-class TrialDraw:
-    """Vector of channel power gains per link, one entry per trial."""
-
-    gains: dict[str, np.ndarray]
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.gains[name]
-
-    @property
-    def trials(self) -> int:
-        return len(next(iter(self.gains.values())))
 
 
 @dataclass(frozen=True)
@@ -98,14 +90,16 @@ def _gamma_stream(seed: int, link_id: int, m: int, mean: float,
 
 
 def draw_gains(scenario: NetworkScenario, seed: int, trials: int,
-               start: int = 0) -> TrialDraw:
-    """Draw ``trials`` independent gain vectors for every link, starting
-    at trial index ``start`` of the deterministic per-link streams."""
-    gains = {
+               start: int = 0,
+               names: list[str] | None = None) -> dict[str, np.ndarray]:
+    """Draw ``trials`` independent gains for every link, or for the links
+    in ``names`` only, starting at trial index ``start`` of the
+    deterministic per-link streams."""
+    return {
         name: _gamma_stream(seed, link_id, link.m, link.mean_gain, start, trials)
         for link_id, (name, link) in enumerate(link_table(scenario))
+        if names is None or name in names
     }
-    return TrialDraw(gains=gains)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +112,7 @@ def _amp_gain_sq(draw, powers: PowerProfile, suffix: str = ""):
                   + s * draw[f"x{suffix}"] + 1.0)
 
 
-def exact_sinr_s1(draw: TrialDraw, powers: PowerProfile):
+def exact_sinr_s1(draw, powers: PowerProfile):
     """Exact SINR at source 1, assembled term by term from the received
     signal: desired two-hop component over primary direct interference,
     amplified primary interference, amplified relay noise and local
@@ -130,7 +124,7 @@ def exact_sinr_s1(draw: TrialDraw, powers: PowerProfile):
     return num / den
 
 
-def exact_sinr_s2(draw: TrialDraw, powers: PowerProfile):
+def exact_sinr_s2(draw, powers: PowerProfile):
     p, s, rl = powers.gamma_bar_p, powers.gamma_bar_s, powers.gamma_bar_r
     g2 = _amp_gain_sq(draw, powers)
     num = g2 * rl * s * draw["w"] * draw["x"]
@@ -144,7 +138,7 @@ def _normalized(draw, powers: PowerProfile, suffix: str = ""):
     return y, rl / s
 
 
-def bounded_sinr_s1(draw: TrialDraw, powers: PowerProfile):
+def bounded_sinr_s1(draw, powers: PowerProfile):
     """Tractable upper bound gr * min(X/(Z+Y+beta+1), W/(Z+1)); dominates
     the exact SINR on every draw."""
     rl = powers.gamma_bar_r
@@ -154,7 +148,7 @@ def bounded_sinr_s1(draw: TrialDraw, powers: PowerProfile):
                            draw["w"] / (z + 1.0))
 
 
-def bounded_sinr_s2(draw: TrialDraw, powers: PowerProfile):
+def bounded_sinr_s2(draw, powers: PowerProfile):
     rl = powers.gamma_bar_r
     y, beta = _normalized(draw, powers)
     v = powers.gamma_bar_p * draw["v"]
@@ -184,35 +178,38 @@ def _bounded_pair_min_b(draw, powers: PowerProfile, k: int, K: int):
     return rl * np.minimum(draw[f"x{suffix}"], draw[f"w{suffix}"]) / (y + beta + 1.0)
 
 
-def e2e_sinr(draw: TrialDraw, powers: PowerProfile, scenario: NetworkScenario,
+def e2e_sinr(draw, powers: PowerProfile, scenario: NetworkScenario,
              sinr_kind: str = "bounded"):
     """End-to-end SINR per trial: Scenario (a) is the min over the two
     directions, Scenario (b) the best-relay max over per-relay minima."""
+    return _sinr(draw, powers, scenario, sinr_kind, "e2e")
+
+
+def _sinr(draw, powers, scenario, sinr_kind, metric, s1=None):
+    # metric 'e2e' or 's1' (source 1 direction, Scenario (a) only); ``s1``
+    # is the source-1 SINR of this draw when the caller already has it.
     if sinr_kind not in ("exact", "bounded"):
         raise ValueError(f"sinr_kind must be 'exact' or 'bounded', got {sinr_kind!r}")
+    if metric not in ("e2e", "s1"):
+        raise ValueError(f"metric must be 'e2e' or 's1', got {metric!r}")
+    exact = sinr_kind == "exact"
     if scenario.scenario is Scenario.A:
-        if sinr_kind == "exact":
-            return np.minimum(exact_sinr_s1(draw, powers), exact_sinr_s2(draw, powers))
-        return np.minimum(bounded_sinr_s1(draw, powers), bounded_sinr_s2(draw, powers))
-    per_relay = _exact_pair_min_b if sinr_kind == "exact" else _bounded_pair_min_b
+        if s1 is None:
+            s1 = (exact_sinr_s1 if exact else bounded_sinr_s1)(draw, powers)
+        s2 = exact_sinr_s2 if exact else bounded_sinr_s2
+        return s1 if metric == "s1" else np.minimum(s1, s2(draw, powers))
+    if metric == "s1":
+        raise ValueError("the single-direction metric applies to Scenario (a) only")
+    per_relay = _exact_pair_min_b if exact else _bounded_pair_min_b
     out = per_relay(draw, powers, 0, scenario.K)
     for k in range(1, scenario.K):
         out = np.maximum(out, per_relay(draw, powers, k, scenario.K))
     return out
 
 
-def _direction_sinr(draw, powers, scenario, sinr_kind, metric):
-    if metric == "e2e":
-        return e2e_sinr(draw, powers, scenario, sinr_kind)
-    if metric != "s1":
-        raise ValueError(f"metric must be 'e2e' or 's1', got {metric!r}")
-    if scenario.scenario is not Scenario.A:
-        raise ValueError("the single-direction metric applies to Scenario (a) only")
-    fn = exact_sinr_s1 if sinr_kind == "exact" else bounded_sinr_s1
-    return fn(draw, powers)
-
-
 def _chunks(trials: int):
+    if trials < 1_000:
+        raise ValueError("at least 1000 trials are required")
     start = 0
     while start < trials:
         n = min(_CHUNK, trials - start)
@@ -220,21 +217,63 @@ def _chunks(trials: int):
         start += n
 
 
+def _proportion(hits: int, trials: int, seed: int) -> Estimate:
+    p = hits / trials
+    ci = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    return Estimate(value=p, trials=trials, ci_half_width=ci, seed=seed)
+
+
+def _score(acc, draw, powers, scenario, theta, mod, sinr_kind, metric, sep_metric):
+    # Add one row's outage hits, SEP sum and SEP sum of squares on this
+    # chunk to ``acc``; the row's temporaries die on return.
+    s1 = None
+    if mod is not None:
+        sinr = _sinr(draw, powers, scenario, sinr_kind, sep_metric)
+        s1 = sinr if sep_metric == "s1" else None
+        sep = 0.5 * mod.a * erfc(np.sqrt(mod.b * sinr))
+        acc[1] += float(sep.sum())
+        acc[2] += float((sep * sep).sum())
+    if theta is not None:
+        sinr = _sinr(draw, powers, scenario, sinr_kind, metric, s1)
+        acc[0] += int(np.count_nonzero(sinr < theta))
+
+
+def estimate_rows(scenario: NetworkScenario, rows: list[PowerProfile],
+                  theta: float | None = None, mod: ModulationSpec | None = None,
+                  trials: int = DEFAULT_TRIALS, seed: int = 0,
+                  sinr_kind: str = "exact", metric: str = "e2e",
+                  sep_metric: str = "s1") -> list[tuple[Estimate | None, Estimate | None]]:
+    """Outage and ASEP estimates of every row (one power profile each),
+    all scored on one draw of each trial chunk.
+
+    Per row: the outage is the fraction of trials whose ``metric`` SINR
+    falls below ``theta``, the ASEP the average of the conditional SEP
+    kernel a/2 * erfc(sqrt(b*gamma)) of ``mod`` over the ``sep_metric``
+    SINR; either is None when its ``theta`` or ``mod`` is not given."""
+    # The secondary SINRs read no link of the primary receiver (e, f, g, l).
+    names = [name for name, _ in link_table(scenario) if name[0] not in "efgl"]
+    sums = [[0, 0.0, 0.0] for _ in rows]
+    for start, n in _chunks(trials):
+        draw = draw_gains(scenario, seed, n, start, names)
+        for acc, powers in zip(sums, rows):
+            _score(acc, draw, powers, scenario, theta, mod, sinr_kind, metric,
+                   sep_metric)
+    out = []
+    for hits, total, total_sq in sums:
+        mean = total / trials
+        ci = 1.96 * math.sqrt(max(total_sq / trials - mean * mean, 0.0) / trials)
+        out.append((None if theta is None else _proportion(hits, trials, seed),
+                    None if mod is None else Estimate(mean, trials, ci, seed)))
+    return out
+
+
 def estimate_outage(scenario: NetworkScenario, powers: PowerProfile,
                     theta: float, trials: int = DEFAULT_TRIALS,
                     seed: int = 0, sinr_kind: str = "bounded",
                     metric: str = "e2e") -> Estimate:
     """Fraction of trials whose SINR falls below ``theta``."""
-    if trials < 1_000:
-        raise ValueError("at least 1000 trials are required")
-    hits = 0
-    for start, n in _chunks(trials):
-        draw = draw_gains(scenario, seed, n, start)
-        sinr = _direction_sinr(draw, powers, scenario, sinr_kind, metric)
-        hits += int(np.count_nonzero(sinr < theta))
-    p = hits / trials
-    ci = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return Estimate(value=p, trials=trials, ci_half_width=ci, seed=seed)
+    return estimate_rows(scenario, [powers], theta=theta, trials=trials, seed=seed,
+                         sinr_kind=sinr_kind, metric=metric)[0][0]
 
 
 def estimate_asep(scenario: NetworkScenario, powers: PowerProfile,
@@ -243,22 +282,8 @@ def estimate_asep(scenario: NetworkScenario, powers: PowerProfile,
                   metric: str = "s1") -> Estimate:
     """Average of the conditional SEP kernel a/2 * erfc(sqrt(b*gamma))
     over the per-trial SINR."""
-    if trials < 1_000:
-        raise ValueError("at least 1000 trials are required")
-    total = 0.0
-    total_sq = 0.0
-    from scipy.special import erfc
-
-    for start, n in _chunks(trials):
-        draw = draw_gains(scenario, seed, n, start)
-        sinr = _direction_sinr(draw, powers, scenario, sinr_kind, metric)
-        sep = 0.5 * mod.a * erfc(np.sqrt(mod.b * sinr))
-        total += float(sep.sum())
-        total_sq += float((sep * sep).sum())
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    ci = 1.96 * math.sqrt(var / trials)
-    return Estimate(value=mean, trials=trials, ci_half_width=ci, seed=seed)
+    return estimate_rows(scenario, [powers], mod=mod, trials=trials, seed=seed,
+                         sinr_kind=sinr_kind, sep_metric=metric)[0][1]
 
 
 _PRIMARY_LINK_IDS = {"e": 0, "f": 1, "g": 2, "l": 3}
@@ -271,8 +296,6 @@ def estimate_primary_outage(inputs: PrimaryOutageInputs, trials: int = DEFAULT_T
     (only the relay interferes)."""
     if phase not in ("ma", "bc"):
         raise ValueError(f"phase must be 'ma' or 'bc', got {phase!r}")
-    if trials < 1_000:
-        raise ValueError("at least 1000 trials are required")
     hits = 0
     for start, n in _chunks(trials):
         e = _gamma_stream(seed, _PRIMARY_LINK_IDS["e"], inputs.e.m,
@@ -289,6 +312,4 @@ def estimate_primary_outage(inputs: PrimaryOutageInputs, trials: int = DEFAULT_T
                                inputs.l.mean_gain, start, n)
             sinr = inputs.gamma_bar_p * e / (inputs.gamma_bar_r * lv + 1.0)
         hits += int(np.count_nonzero(sinr < inputs.threshold))
-    p = hits / trials
-    ci = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return Estimate(value=p, trials=trials, ci_half_width=ci, seed=seed)
+    return _proportion(hits, trials, seed)

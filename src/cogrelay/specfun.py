@@ -19,7 +19,6 @@ from .errors import NearDegeneratePoles
 
 __all__ = [
     "PoleSet",
-    "log_gamma",
     "upper_incomplete_gamma_int",
     "log_upper_incomplete_gamma_int",
     "tricomi_u",
@@ -59,13 +58,6 @@ class PoleSet:
             for j in range(i + 1, len(locs)):
                 sep = min(sep, abs(locs[i] - locs[j]) / max(locs[i], locs[j]))
         return sep
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def log_upper_incomplete_gamma_int(n: int, x: float) -> float:

@@ -4,12 +4,19 @@ import io
 
 import pytest
 
-from cogrelay import cli
+from cogrelay import cli, montecarlo
 from cogrelay.config import parse_config
+from cogrelay.model import PowerProfile, Scenario, mpsk_constants
 from tests.test_config import BASE
 
 SMALL = BASE.replace("stop_db = 20.0", "stop_db = 10.0") \
             .replace("trials = 20000", "trials = 2000")
+SMALL_B = SMALL.replace("scenario = a", "scenario = b") \
+               .replace("relays = 1", "relays = 3") \
+               .replace("[links.pt_s1]\nm = 1\nmean_gain = 0.05\n\n", "") \
+               .replace("[links.pt_s2]\nm = 2\nmean_gain = 0.04\n\n", "") \
+               .replace("outage_thresholds = 0.0, 0.1",
+                        "outage_thresholds = 0.3\nrelay_counts = 1, 2, 3")
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -95,19 +102,50 @@ class TestRunSweep:
         assert all(abs(r.analytic_oc - base) <= 1e-12 for r in capped)
 
     def test_relay_ordering_scenario_b(self):
-        text = SMALL.replace("scenario = a", "scenario = b") \
-                    .replace("relays = 1", "relays = 3") \
-                    .replace("[links.pt_s1]\nm = 1\nmean_gain = 0.05\n\n", "") \
-                    .replace("[links.pt_s2]\nm = 2\nmean_gain = 0.04\n\n", "") \
-                    .replace("outage_thresholds = 0.0, 0.1",
-                             "outage_thresholds = 0.3\nrelay_counts = 1, 2, 3")
-        cfg = parse_config(text)
+        cfg = parse_config(SMALL_B)
         rows = cli.run_sweep(cfg.sweeps["sweep"], cfg, analytic_only=True)
         by_x = {}
         for r in rows:
             by_x.setdefault(r.x_db, {})[r.K] = r.analytic_oc
         for vals in by_x.values():
             assert vals[1] >= vals[2] >= vals[3]
+
+    @pytest.mark.parametrize("text", [
+        SMALL.replace("outage_thresholds = 0.0, 0.1", "outage_thresholds = 0.1, 0.3"),
+        SMALL_B.replace("relay_counts = 1, 2, 3", "relay_counts = 1, 2")],
+        ids=["scenario_a", "scenario_b"])
+    def test_rows_share_one_draw_per_chunk(self, text, monkeypatch):
+        # 2000 trials in chunks of 600 (four per row): every row of one relay
+        # count is scored on the same draw of each chunk, and its cells equal
+        # its own standalone estimates exactly
+        text = text.replace("start_db = 0.0", "start_db = 10.0") \
+                   .replace("stop_db = 10.0", "stop_db = 20.0") \
+                   .replace("threshold_db = 3.0", "threshold_db = -6.0")
+        monkeypatch.setattr(montecarlo, "_CHUNK", 600)
+        draw_gains, calls = montecarlo.draw_gains, []
+        monkeypatch.setattr(montecarlo, "draw_gains",
+                            lambda *a, **k: calls.append(a) or draw_gains(*a, **k))
+        cfg = parse_config(text)
+        plan = cfg.sweeps["sweep"]
+        rows = cli.run_sweep(plan, cfg)
+        assert len(calls) == 4 * len(plan.relay_counts)
+        live = [r for r in rows if r.gamma_bar_s > 0.0]
+        assert len(live) == len(rows) >= 2 * len(plan.relay_counts)
+        for r in live:
+            sc = cfg.network_scenario(r.K)
+            powers = PowerProfile(r.gamma_bar_p, r.gamma_bar_s, r.gamma_bar_r,
+                                  r.gamma_bar_s, r.gamma_bar_r)
+            oc = montecarlo.estimate_outage(
+                sc, powers, sc.secondary_threshold, trials=plan.trials,
+                seed=plan.seed, sinr_kind="exact")
+            assert (r.mc_oc, r.mc_oc_ci) == (oc.value, oc.ci_half_width)
+            if sc.scenario is Scenario.A:
+                sep = montecarlo.estimate_asep(
+                    sc, powers, mpsk_constants(4), trials=plan.trials,
+                    seed=plan.seed, sinr_kind="exact", metric="s1")
+                assert (r.mc_asep, r.mc_asep_ci) == (sep.value, sep.ci_half_width)
+            else:
+                assert r.mc_asep is None and r.mc_asep_ci is None
 
 
 class TestSelfCheck:
@@ -145,6 +183,13 @@ class TestMain:
         with pytest.raises(SystemExit) as err:
             cli.main(["--config", path, "--sweep", "nope"])
         assert err.value.code == 2
+
+    def test_invalid_trials_override_is_usage_error(self, tmp_path, capsys):
+        path = _write(tmp_path, SMALL)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["--config", path, "--trials", "500"])
+        assert err.value.code == 2
+        assert "trials must be at least 1000" in capsys.readouterr().err
 
     def test_end_to_end_run(self, tmp_path):
         path = _write(tmp_path, SMALL)

@@ -68,8 +68,17 @@ class TestSampler:
         sc = scenario_a()
         a = mc.draw_gains(sc, seed=42, trials=5_000)
         b = mc.draw_gains(sc, seed=42, trials=5_000)
-        for name in a.gains:
+        for name in a:
             assert np.array_equal(a[name], b[name])
+
+    def test_subset_draw_matches_full_draw(self):
+        for sc, names in ((scenario_a(), ["x", "z", "v"]),
+                          (scenario_b(K=2), ["w0", "x1", "y1"])):
+            full = mc.draw_gains(sc, seed=8, trials=3_000, start=500)
+            part = mc.draw_gains(sc, seed=8, trials=3_000, start=500, names=names)
+            assert sorted(part) == sorted(names)
+            for name in names:
+                assert np.array_equal(part[name], full[name])
 
     def test_seeds_differ(self):
         a = mc._gamma_stream(1, 0, 2, 1.0, 0, 1_000)
@@ -121,7 +130,7 @@ class TestSinr:
     def test_exact_sinr_hand_value(self):
         # every gain forced to 1: plug the draw into the formula by hand
         sc = scenario_a()
-        draw = mc.TrialDraw({name: np.ones(1) for name, _ in mc.link_table(sc)})
+        draw = {name: np.ones(1) for name, _ in mc.link_table(sc)}
         p = s = r = 10.0
         powers = PowerProfile(p, s, r, 50.0, 50.0)
         g2 = 1.0 / (p + s + s + 1.0)
