@@ -172,7 +172,8 @@ def _bisect_power(constraint, threshold: float, cap: float, what: str) -> float:
     """Largest power in (0, cap] keeping ``constraint`` below ``threshold``.
 
     ``constraint`` must be nondecreasing in the power; this is probed at
-    three points and asserted before bisection.
+    three points before bisection, and a violation raises
+    NumericalInstability.
     """
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must be a probability, got {threshold}")
@@ -187,8 +188,8 @@ def _bisect_power(constraint, threshold: float, cap: float, what: str) -> float:
         return cap
     probes = [constraint(cap * t) for t in (0.25, 0.5, 0.75)]
     seq = [f0, *probes, fc]
-    assert all(a <= b + 1e-12 for a, b in zip(seq, seq[1:])), \
-        f"{what}: constraint is not monotone in the power"
+    if not all(a <= b + 1e-12 for a, b in zip(seq, seq[1:])):
+        raise NumericalInstability(f"{what}: constraint is not monotone in the power")
     lo, hi = 0.0, cap
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -172,8 +172,8 @@ def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
               mod: ModulationSpec | None = None) -> list[SweepRow]:
     """Evaluate the full (grid point x threshold x relay count) lattice in
     deterministic order.  The closed forms are evaluated point by point;
-    the Monte Carlo cells of all rows with one relay count are then
-    estimated together, on one gain draw per trial chunk."""
+    the Monte Carlo cells of all rows are then estimated together, on one
+    gain draw per trial chunk for the largest relay count among them."""
     mod = mod or mpsk_constants(4)
     points = [
         _sweep_point(cfg, plan, x_db, threshold, K, mod, analytic_only, mc_only)
@@ -182,20 +182,17 @@ def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
         for K in plan.relay_counts
     ]
     rows = [row for row, _ in points]
-    pending: dict[int, list[int]] = {}
-    for i, (row, powers) in enumerate(points):
-        if powers is not None:
-            pending.setdefault(row.K, []).append(i)
-    for K, idx in pending.items():
-        scenario = cfg.network_scenario(K)
-        ests = montecarlo.estimate_rows(
-            scenario, [points[i][1] for i in idx], theta=scenario.secondary_threshold,
-            mod=mod if scenario.scenario is Scenario.A else None,
-            trials=plan.trials, seed=plan.seed, sinr_kind="exact")
-        for i, (oc, sep) in zip(idx, ests):
-            rows[i] = replace(rows[i], mc_oc=oc.value, mc_oc_ci=oc.ci_half_width)
-            if sep is not None:
-                rows[i] = replace(rows[i], mc_asep=sep.value, mc_asep_ci=sep.ci_half_width)
+    pending = [i for i, (_, powers) in enumerate(points) if powers is not None]
+    scenario = cfg.network_scenario(max(plan.relay_counts))
+    ests = montecarlo.estimate_rows(
+        scenario, [(rows[i].K, points[i][1]) for i in pending],
+        theta=scenario.secondary_threshold,
+        mod=mod if scenario.scenario is Scenario.A else None,
+        trials=plan.trials, seed=plan.seed, sinr_kind="exact")
+    for i, (oc, sep) in zip(pending, ests):
+        rows[i] = replace(rows[i], mc_oc=oc.value, mc_oc_ci=oc.ci_half_width)
+        if sep is not None:
+            rows[i] = replace(rows[i], mc_asep=sep.value, mc_asep_ci=sep.ci_half_width)
     return rows
 
 

@@ -209,13 +209,14 @@ def _require(section: str, values: dict, names, header_line: int):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse config text; raise ConfigError with a line number on any
-    unknown section, unknown key, duplicate, or missing required entry."""
+    """Parse config text; raise ConfigError on any unknown section,
+    unknown key, duplicate, or missing required entry, with the line
+    number when the error belongs to one line rather than the whole file."""
     sections = _collect(text)
 
     for required in ("primary", "secondary"):
         if required not in sections:
-            raise ConfigError(f"missing required section [{required}]", 0)
+            raise ConfigError(f"missing required section [{required}]")
 
     hline, keys = sections["primary"]
     primary = _typed("primary", keys, _PRIMARY_KEYS, hline)
@@ -291,13 +292,13 @@ def parse_config(text: str) -> RunConfig:
         required_links |= {"pt_s1", "pt_s2"}
     missing = sorted(required_links - set(link_defaults))
     if missing:
-        raise ConfigError(f"missing link sections: {', '.join(missing)}", 0)
+        raise ConfigError(f"missing link sections: {', '.join(missing)}")
 
     for plan in sweeps.values():
         for k in plan.relay_counts:
             if k > relays:
                 raise ConfigError(
-                    f"sweep relay count {k} exceeds configured relays {relays}", 0)
+                    f"sweep relay count {k} exceeds configured relays {relays}")
 
     cfg = RunConfig(
         scenario_kind=kind,

@@ -1,16 +1,25 @@
 """Seeded Monte Carlo engine for the exact and upper-bounded SINRs.
 
 Channel gains are Gamma(shape m, scale mean/m) and are generated as the
-sum of m inverse-cdf exponential draws, which costs exactly m uniforms
-per trial.  Uniforms come from one counter-based Philox-4x64 stream per
-(seed, link) pair, positioned at trial_index * m, so any partition of
-the trial range produces the same union of draws: results are
+sum of m inverse-cdf exponential draws.  Uniforms come from one
+counter-based Philox-4x64 stream per (seed, link) pair.  A trial takes
+whole 4-word Philox blocks, 4 * ceil(m / 4) words of which the first m
+are used, so trial i starts at block i * ceil(m / 4) and any partition
+of the trial range produces the same union of draws: results are
 bit-identical regardless of chunking or parallel split.
 
-The estimators draw each trial chunk once and score every row sharing
-the (scenario, seed) on it, drawing only the links the secondary SINRs
-read (x, w, y per relay, plus z, v in Scenario (a)) at their
-``link_table`` stream ids, so each gain equals that of a full draw.
+Links are named as in ``link_table``: ``x, w, y, l, z, v`` in Scenario
+(a), and ``x0, w0, y0, l0, x1, ...`` (relay k carries index k at every
+relay count) in Scenario (b).  The stream id of relay k's links does not
+depend on the relay count either, so the first K relays of a draw for K'
+> K relays are exactly the draw for K relays.
+
+The estimators draw each trial chunk once, for the largest relay count
+among their rows, and score every row on it; a Scenario (b) row of
+relay count K selects the best of relays 0..K-1.  Only the links the
+secondary SINRs read are drawn (x, w, y per relay, plus z, v in Scenario
+(a)), at their ``link_table`` stream ids, so each gain equals that of a
+full draw.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ def link_table(scenario: NetworkScenario) -> list[tuple[str, "object"]]:
         ("g", scenario.s2_px),
     ]
     for k in range(scenario.K):
-        suffix = "" if scenario.K == 1 else str(k)
+        suffix = "" if scenario.scenario is Scenario.A else str(k)
         rows += [
             (f"x{suffix}", scenario.s2_relay[k]),
             (f"w{suffix}", scenario.s1_relay[k]),
@@ -80,13 +89,23 @@ def _gamma_stream(seed: int, link_id: int, m: int, mean: float,
                   start: int, count: int) -> np.ndarray:
     # Each trial consumes a whole number of Philox 4-word blocks so that
     # advancing by blocks lands exactly on a trial boundary; the padding
-    # words are generated and discarded.
+    # words are generated and discarded.  The log terms are summed column
+    # by column in place (in the order of a row sum for m <= 7).
     words = 4 * ((m + 3) // 4)
     bg = Philox(key=np.array([seed % _U64, link_id], dtype=np.uint64))
     if start:
         bg.advance(start * (words // 4))
-    u = Generator(bg).random((count, words))[:, :m]
-    return (mean / m) * (-np.log1p(-u)).sum(axis=1)
+    u = Generator(bg).random((count, words))
+    acc = np.negative(u[:, 0])
+    np.log1p(acc, out=acc)
+    if m > 1:
+        term = np.empty(count)
+        for j in range(1, m):
+            np.negative(u[:, j], out=term)
+            np.log1p(term, out=term)
+            acc += term
+    acc *= -mean / m
+    return acc
 
 
 def draw_gains(scenario: NetworkScenario, seed: int, trials: int,
@@ -106,10 +125,9 @@ def draw_gains(scenario: NetworkScenario, seed: int, trials: int,
 # SINRs, Scenario (a)  (N0 = 1 throughout)
 # ---------------------------------------------------------------------------
 
-def _amp_gain_sq(draw, powers: PowerProfile, suffix: str = ""):
+def _amp_gain_sq(draw, powers: PowerProfile):
     p, s = powers.gamma_bar_p, powers.gamma_bar_s
-    return 1.0 / (p * draw[f"y{suffix}"] + s * draw[f"w{suffix}"]
-                  + s * draw[f"x{suffix}"] + 1.0)
+    return 1.0 / (p * draw["y"] + s * draw["w"] + s * draw["x"] + 1.0)
 
 
 def exact_sinr_s1(draw, powers: PowerProfile):
@@ -160,34 +178,44 @@ def bounded_sinr_s2(draw, powers: PowerProfile):
 # SINRs, Scenario (b): sources are noise-limited, relays see everything
 # ---------------------------------------------------------------------------
 
-def _exact_pair_min_b(draw, powers: PowerProfile, k: int, K: int):
-    suffix = "" if K == 1 else str(k)
+def _exact_pair_min_b(draw, powers: PowerProfile, k: int):
+    """min(s1, s2) of relay k.  With 1/g2 = p*y + s*(x+w) + 1 both exact
+    SINRs share the numerator rl*s*x*w and the smaller one has the larger
+    denominator rl*(p*y+1)*max(x, w) + 1/g2."""
     p, s, rl = powers.gamma_bar_p, powers.gamma_bar_s, powers.gamma_bar_r
-    g2 = _amp_gain_sq(draw, powers, suffix)
-    x, w, y = draw[f"x{suffix}"], draw[f"w{suffix}"], draw[f"y{suffix}"]
-    num = g2 * rl * s * x * w
-    s1 = num / (g2 * rl * p * y * w + g2 * rl * w + 1.0)
-    s2 = num / (g2 * rl * p * y * x + g2 * rl * x + 1.0)
-    return np.minimum(s1, s2)
+    x, w, y = draw[f"x{k}"], draw[f"w{k}"], draw[f"y{k}"]
+    py1 = p * y
+    py1 += 1.0
+    den = x + w
+    den *= s
+    den += py1
+    out = np.maximum(x, w)
+    out *= py1
+    out *= rl
+    den += out
+    np.multiply(x, w, out=out)
+    out *= rl * s
+    out /= den
+    return out
 
 
-def _bounded_pair_min_b(draw, powers: PowerProfile, k: int, K: int):
-    suffix = "" if K == 1 else str(k)
+def _bounded_pair_min_b(draw, powers: PowerProfile, k: int):
     rl = powers.gamma_bar_r
-    y, beta = _normalized(draw, powers, suffix)
-    return rl * np.minimum(draw[f"x{suffix}"], draw[f"w{suffix}"]) / (y + beta + 1.0)
+    y, beta = _normalized(draw, powers, str(k))
+    return rl * np.minimum(draw[f"x{k}"], draw[f"w{k}"]) / (y + beta + 1.0)
 
 
 def e2e_sinr(draw, powers: PowerProfile, scenario: NetworkScenario,
              sinr_kind: str = "bounded"):
     """End-to-end SINR per trial: Scenario (a) is the min over the two
     directions, Scenario (b) the best-relay max over per-relay minima."""
-    return _sinr(draw, powers, scenario, sinr_kind, "e2e")
+    return _sinr(draw, powers, scenario, scenario.K, sinr_kind, "e2e")
 
 
-def _sinr(draw, powers, scenario, sinr_kind, metric, s1=None):
+def _sinr(draw, powers, scenario, K, sinr_kind, metric, s1=None):
     # metric 'e2e' or 's1' (source 1 direction, Scenario (a) only); ``s1``
     # is the source-1 SINR of this draw when the caller already has it.
+    # Scenario (b) selects the best of relays 0..K-1.
     if sinr_kind not in ("exact", "bounded"):
         raise ValueError(f"sinr_kind must be 'exact' or 'bounded', got {sinr_kind!r}")
     if metric not in ("e2e", "s1"):
@@ -201,9 +229,9 @@ def _sinr(draw, powers, scenario, sinr_kind, metric, s1=None):
     if metric == "s1":
         raise ValueError("the single-direction metric applies to Scenario (a) only")
     per_relay = _exact_pair_min_b if exact else _bounded_pair_min_b
-    out = per_relay(draw, powers, 0, scenario.K)
-    for k in range(1, scenario.K):
-        out = np.maximum(out, per_relay(draw, powers, k, scenario.K))
+    out = per_relay(draw, powers, 0)
+    for k in range(1, K):
+        np.maximum(out, per_relay(draw, powers, k), out=out)
     return out
 
 
@@ -223,40 +251,50 @@ def _proportion(hits: int, trials: int, seed: int) -> Estimate:
     return Estimate(value=p, trials=trials, ci_half_width=ci, seed=seed)
 
 
-def _score(acc, draw, powers, scenario, theta, mod, sinr_kind, metric, sep_metric):
+def _score(acc, draw, powers, K, scenario, theta, mod, sinr_kind, metric,
+           sep_metric):
     # Add one row's outage hits, SEP sum and SEP sum of squares on this
     # chunk to ``acc``; the row's temporaries die on return.
     s1 = None
     if mod is not None:
-        sinr = _sinr(draw, powers, scenario, sinr_kind, sep_metric)
+        sinr = _sinr(draw, powers, scenario, K, sinr_kind, sep_metric)
         s1 = sinr if sep_metric == "s1" else None
         sep = 0.5 * mod.a * erfc(np.sqrt(mod.b * sinr))
         acc[1] += float(sep.sum())
         acc[2] += float((sep * sep).sum())
     if theta is not None:
-        sinr = _sinr(draw, powers, scenario, sinr_kind, metric, s1)
+        sinr = _sinr(draw, powers, scenario, K, sinr_kind, metric, s1)
         acc[0] += int(np.count_nonzero(sinr < theta))
 
 
-def estimate_rows(scenario: NetworkScenario, rows: list[PowerProfile],
+def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]],
                   theta: float | None = None, mod: ModulationSpec | None = None,
                   trials: int = DEFAULT_TRIALS, seed: int = 0,
                   sinr_kind: str = "exact", metric: str = "e2e",
                   sep_metric: str = "s1") -> list[tuple[Estimate | None, Estimate | None]]:
-    """Outage and ASEP estimates of every row (one power profile each),
-    all scored on one draw of each trial chunk.
+    """Outage and ASEP estimates of every row, all scored on one draw of
+    each trial chunk.
 
+    A row is a pair (K, powers): its relay count, at most ``scenario.K``,
+    and its power profile; it reads the first K relays of ``scenario``.
     Per row: the outage is the fraction of trials whose ``metric`` SINR
     falls below ``theta``, the ASEP the average of the conditional SEP
     kernel a/2 * erfc(sqrt(b*gamma)) of ``mod`` over the ``sep_metric``
     SINR; either is None when its ``theta`` or ``mod`` is not given."""
-    # The secondary SINRs read no link of the primary receiver (e, f, g, l).
-    names = [name for name, _ in link_table(scenario) if name[0] not in "efgl"]
+    if not rows:
+        return []
+    if not all(1 <= K <= scenario.K for K, _ in rows):
+        raise ValueError(f"row relay counts must lie in 1..{scenario.K}")
+    kmax = max(K for K, _ in rows)
+    # The secondary SINRs read no link of the primary receiver (e, f, g, l)
+    # and no relay beyond the rows' largest relay count.
+    names = [name for name, _ in link_table(scenario)
+             if name[0] not in "efgl" and int(name[1:] or 0) < kmax]
     sums = [[0, 0.0, 0.0] for _ in rows]
     for start, n in _chunks(trials):
         draw = draw_gains(scenario, seed, n, start, names)
-        for acc, powers in zip(sums, rows):
-            _score(acc, draw, powers, scenario, theta, mod, sinr_kind, metric,
+        for acc, (K, powers) in zip(sums, rows):
+            _score(acc, draw, powers, K, scenario, theta, mod, sinr_kind, metric,
                    sep_metric)
     out = []
     for hits, total, total_sq in sums:
@@ -272,8 +310,9 @@ def estimate_outage(scenario: NetworkScenario, powers: PowerProfile,
                     seed: int = 0, sinr_kind: str = "bounded",
                     metric: str = "e2e") -> Estimate:
     """Fraction of trials whose SINR falls below ``theta``."""
-    return estimate_rows(scenario, [powers], theta=theta, trials=trials, seed=seed,
-                         sinr_kind=sinr_kind, metric=metric)[0][0]
+    return estimate_rows(scenario, [(scenario.K, powers)], theta=theta,
+                         trials=trials, seed=seed, sinr_kind=sinr_kind,
+                         metric=metric)[0][0]
 
 
 def estimate_asep(scenario: NetworkScenario, powers: PowerProfile,
@@ -282,8 +321,8 @@ def estimate_asep(scenario: NetworkScenario, powers: PowerProfile,
                   metric: str = "s1") -> Estimate:
     """Average of the conditional SEP kernel a/2 * erfc(sqrt(b*gamma))
     over the per-trial SINR."""
-    return estimate_rows(scenario, [powers], mod=mod, trials=trials, seed=seed,
-                         sinr_kind=sinr_kind, sep_metric=metric)[0][1]
+    return estimate_rows(scenario, [(scenario.K, powers)], mod=mod, trials=trials,
+                         seed=seed, sinr_kind=sinr_kind, sep_metric=metric)[0][1]
 
 
 _PRIMARY_LINK_IDS = {"e": 0, "f": 1, "g": 2, "l": 3}

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cogrelay.errors import Infeasible
+from cogrelay.errors import Infeasible, NumericalInstability
 from cogrelay.model import FadingLink as L, ModulationSpec, Scenario, mpsk_constants
 from cogrelay.analytic import (PrimaryOutageInputs, SecondaryCdfInputs,
                                asep_scenario_a, cdf_scenario_a,
@@ -14,7 +14,7 @@ from cogrelay.analytic import (PrimaryOutageInputs, SecondaryCdfInputs,
                                outage_capacity, primary_outage,
                                relay_phase_outage, solve_relay_power,
                                solve_secondary_source_power)
-from cogrelay import oracle
+from cogrelay import analytic, oracle
 
 PRIM = PrimaryOutageInputs(
     e=L(2, 1.0), f=L(1, 0.8), g=L(2, 1.2), l=L(1, 0.9),
@@ -96,6 +96,12 @@ class TestPowerSolver:
         baseline = primary_outage(_prim(gamma_bar_s1=0.0, gamma_bar_s2=0.0))
         with pytest.raises(Infeasible):
             solve_secondary_source_power(PRIM, baseline / 2.0, cap=10.0)
+
+    def test_non_monotone_constraint_raises(self):
+        # the 3-point probe dips between 2.5 and 5.0
+        table = {0.0: 0.1, 2.5: 0.8, 5.0: 0.3, 7.5: 0.6, 10.0: 0.9}
+        with pytest.raises(NumericalInstability, match="not monotone"):
+            analytic._bisect_power(table.__getitem__, 0.5, 10.0, "probe power")
 
 
 class TestDirectionCdf:

@@ -144,6 +144,20 @@ class TestErrors:
         with pytest.raises(ConfigError, match="outside any section"):
             parse_config("rate = 1.0\n")
 
+    def test_file_level_errors_name_no_line(self):
+        for text in ("", BASE.replace("[links.pt_px]\nm = 2\nmean_gain = 1.0\n\n", "")):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert err.value.line is None
+            assert "line" not in str(err.value)
+        assert str(err.value) == "missing link sections: pt_px"
+
+    def test_line_error_names_its_line(self):
+        text = BASE.replace("rate = 1.0", "rate = 1.0\nbogus = 3")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(f"line {self._line_of(text, 'bogus')}: ")
+
     def test_threshold_out_of_range(self):
         with pytest.raises(ConfigError):
             parse_config(BASE.replace("outage_thresholds = 0.0, 0.1",

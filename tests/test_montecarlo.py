@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats
 
 import cogrelay.montecarlo as mc
@@ -80,6 +81,26 @@ class TestSampler:
             for name in names:
                 assert np.array_equal(part[name], full[name])
 
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_gamma_matches_row_sum_of_logs(self, m):
+        # column-by-column accumulation reproduces the row sum of the logs
+        # bit for bit for m <= 7
+        for start in (0, 17, 1 << 20):
+            bg = Philox(key=np.array([5, 3], dtype=np.uint64))
+            if start:
+                bg.advance(start * ((m + 3) // 4))
+            u = Generator(bg).random((4_000, 4 * ((m + 3) // 4)))[:, :m]
+            ref = (1.3 / m) * (-np.log1p(-u)).sum(axis=1)
+            assert np.array_equal(mc._gamma_stream(5, 3, m, 1.3, start, 4_000), ref)
+
+    def test_relays_shared_across_relay_counts(self):
+        big = mc.draw_gains(scenario_b(K=4), seed=9, trials=2_000, start=300)
+        for K in (1, 2):
+            small = mc.draw_gains(scenario_b(K=K), seed=9, trials=2_000, start=300)
+            assert set(small) == {n for n in big if n in "efg" or int(n[1:]) < K}
+            for name in small:
+                assert np.array_equal(small[name], big[name])
+
     def test_seeds_differ(self):
         a = mc._gamma_stream(1, 0, 2, 1.0, 0, 1_000)
         b = mc._gamma_stream(2, 0, 2, 1.0, 0, 1_000)
@@ -137,6 +158,19 @@ class TestSinr:
         expected = (g2 * r * s) / (p + g2 * r * p + g2 * r + 1.0)
         assert mc.exact_sinr_s1(draw, powers)[0] == pytest.approx(expected, rel=1e-12)
 
+    def test_exact_pair_min_matches_term_by_term(self):
+        sc = scenario_b(K=2)
+        draw = mc.draw_gains(sc, seed=10, trials=5_000)
+        p, s, r = POWERS.gamma_bar_p, POWERS.gamma_bar_s, POWERS.gamma_bar_r
+        for k in range(2):
+            x, w, y = draw[f"x{k}"], draw[f"w{k}"], draw[f"y{k}"]
+            g2 = 1.0 / (p * y + s * w + s * x + 1.0)
+            num = g2 * r * s * x * w
+            s1 = num / (g2 * r * p * y * w + g2 * r * w + 1.0)
+            s2 = num / (g2 * r * p * y * x + g2 * r * x + 1.0)
+            np.testing.assert_allclose(mc._exact_pair_min_b(draw, POWERS, k),
+                                       np.minimum(s1, s2), rtol=1e-12, atol=0.0)
+
     def test_e2e_is_min_of_directions(self):
         sc = scenario_a()
         draw = mc.draw_gains(sc, seed=6, trials=1_000)
@@ -149,7 +183,7 @@ class TestSinr:
         sc = scenario_b(K=3)
         draw = mc.draw_gains(sc, seed=7, trials=2_000)
         e2e = mc.e2e_sinr(draw, POWERS, sc, "bounded")
-        per = np.stack([mc._bounded_pair_min_b(draw, POWERS, k, 3)
+        per = np.stack([mc._bounded_pair_min_b(draw, POWERS, k)
                         for k in range(3)])
         assert np.array_equal(e2e, per.max(axis=0))
 
