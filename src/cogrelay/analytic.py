@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, exp, fsum, lgamma, log
 
-from scipy.integrate import quad
+import numpy as np
+from scipy.special import gamma, xlogy
 
 from .errors import Infeasible, NearDegeneratePoles, NumericalInstability
 from .model import FadingLink, ModulationSpec
-from .specfun import PoleSet, partial_fractions, tricomi_u
+from .specfun import PoleSet, de_rule, partial_fractions, tricomi_u
 
 __all__ = [
     "PrimaryOutageInputs",
@@ -42,6 +44,16 @@ __all__ = [
 # Probabilities may overshoot [0, 1] by at most this much before we call
 # the evaluation unstable.
 CLAMP_TOL = 1e-12
+
+# Largest cancellation ratio sum|term| / |sum term| of the ASEP closed
+# form that is trusted.  Its roundoff error is about ratio x 1e-16, so
+# this limit keeps ~1e-10 accuracy; above it the row is evaluated by the
+# kernel quadrature instead.
+CANCELLATION_LIMIT = 1e6
+
+# Double-exponential rule of the kernel quadrature: 521 nodes at
+# h = 1/16 (at h = 1/8 the kernel is off by 3e-10).
+_KERNEL_OFFSETS, _KERNEL_WEIGHTS = de_rule(1.0 / 16.0, 260)
 
 
 @dataclass(frozen=True)
@@ -254,47 +266,71 @@ class _Rates:
         self.bz = inp.z.m / (gp * inp.z.mean_gain)
         self.bv = inp.v.m / (gp * inp.v.mean_gain)
 
+    def kernel_rate(self, b: float) -> float:
+        """Exponential decay rate of e^{-b g} chi1(g) chi2(g) in g."""
+        return b + self.qx * (self.beta + 1.0) + self.qw
 
-def _chi1(inp: SecondaryCdfInputs, theta: float) -> float:
-    """E_{Z,Y}[Pr{X > (Z + Y + beta + 1) theta / gr}] as a finite sum."""
+
+def _frozen(*columns) -> tuple[np.ndarray, ...]:
+    """Read-only float arrays of ``columns``, safe to share from a cache."""
+    out = tuple(np.array(c, dtype=float) for c in columns)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=64)
+def _chi1_table(mx: int, my: int, mz: int) -> tuple[np.ndarray, ...]:
+    """Terms (n, i1, i2) of the chi1 sum and their theta-independent log
+    weight ln[C(n,i1) C(n-i1,i2) Gamma(my+i1) Gamma(mz+i2) / (n! Gamma(my) Gamma(mz))]."""
+    idx = [(n, i1, i2) for n in range(mx) for i1 in range(n + 1)
+           for i2 in range(n - i1 + 1)]
+    const = [log(comb(n, i1)) + log(comb(n - i1, i2)) - lgamma(n + 1)
+             + lgamma(my + i1) - lgamma(my) + lgamma(mz + i2) - lgamma(mz)
+             for n, i1, i2 in idx]
+    return _frozen(*zip(*idx), const)
+
+
+@lru_cache(maxsize=64)
+def _chi2_table(mw: int, mz: int) -> tuple[np.ndarray, ...]:
+    """Terms (k, k1) of the chi2 sum and their theta-independent log
+    weight ln[C(k,k1) Gamma(mz+k1) / (k! Gamma(mz))]."""
+    idx = [(k, k1) for k in range(mw) for k1 in range(k + 1)]
+    const = [log(comb(k, k1)) - lgamma(k + 1) + lgamma(mz + k1) - lgamma(mz)
+             for k, k1 in idx]
+    return _frozen(*zip(*idx), const)
+
+
+def _sum_terms(terms: np.ndarray):
+    """Sum over the trailing term axis: compensated for a scalar theta,
+    pairwise for an array of thetas."""
+    return fsum(terms) if terms.ndim == 1 else terms.sum(axis=-1)
+
+
+def _chi1(inp: SecondaryCdfInputs, theta):
+    """E_{Z,Y}[Pr{X > (Z + Y + beta + 1) theta / gr}] as a finite sum,
+    for a scalar ``theta`` or elementwise over an array."""
     r = _Rates(inp)
-    cx = r.qx * theta
-    mx, my, mz = inp.x.m, inp.y.m, inp.z.m
-    terms = []
-    for n in range(mx):
-        for i1 in range(n + 1):
-            for i2 in range(n - i1 + 1):
-                lt = (
-                    -cx * (r.beta + 1.0)
-                    + log(comb(n, i1)) + log(comb(n - i1, i2))
-                    + _log_pow(r.beta + 1.0, n - i1 - i2)
-                    + _log_pow(cx, n) - lgamma(n + 1)
-                    + my * log(r.by) + lgamma(my + i1) - lgamma(my)
-                    - (my + i1) * log(cx + r.by)
-                    + mz * log(r.bz) + lgamma(mz + i2) - lgamma(mz)
-                    - (mz + i2) * log(cx + r.bz)
-                )
-                terms.append(exp(lt))
-    return fsum(terms)
+    n, i1, i2, const = _chi1_table(inp.x.m, inp.y.m, inp.z.m)
+    my, mz = inp.y.m, inp.z.m
+    cx = r.qx * np.asarray(theta, dtype=float)[..., None]
+    lt = (const - cx * (r.beta + 1.0)
+          + (n - i1 - i2) * log(r.beta + 1.0) + xlogy(n, cx)
+          + my * log(r.by) - (my + i1) * np.log(cx + r.by)
+          + mz * log(r.bz) - (mz + i2) * np.log(cx + r.bz))
+    return _sum_terms(np.exp(lt))
 
 
-def _chi2(inp: SecondaryCdfInputs, theta: float) -> float:
-    """E_Z[Pr{W > (Z + 1) theta / gr}] as a finite sum."""
+def _chi2(inp: SecondaryCdfInputs, theta):
+    """E_Z[Pr{W > (Z + 1) theta / gr}] as a finite sum, for a scalar
+    ``theta`` or elementwise over an array."""
     r = _Rates(inp)
-    cw = r.qw * theta
-    mw, mz = inp.w.m, inp.z.m
-    terms = []
-    for k in range(mw):
-        for k1 in range(k + 1):
-            lt = (
-                -cw
-                + _log_pow(cw, k) - lgamma(k + 1)
-                + log(comb(k, k1))
-                + mz * log(r.bz) + lgamma(mz + k1) - lgamma(mz)
-                - (mz + k1) * log(cw + r.bz)
-            )
-            terms.append(exp(lt))
-    return fsum(terms)
+    k, k1, const = _chi2_table(inp.w.m, inp.z.m)
+    mz = inp.z.m
+    cw = r.qw * np.asarray(theta, dtype=float)[..., None]
+    lt = (const - cw + xlogy(k, cw)
+          + mz * log(r.bz) - (mz + k1) * np.log(cw + r.bz))
+    return _sum_terms(np.exp(lt))
 
 
 def cdf_scenario_a(inputs: SecondaryCdfInputs, theta: float) -> float:
@@ -452,20 +488,73 @@ def outage_capacity(scenario, inputs, theta: float, *, end_to_end: bool = True) 
 
 @dataclass(frozen=True)
 class AsepResult:
+    """``value`` is the ASEP and ``used_fallback`` says it came from the
+    kernel quadrature.  ``cancellation_ratio`` is sum|term| / |sum term|
+    over the closed form's flattened terms, or inf when the pole
+    locations were too close to expand."""
+
     value: float
     used_fallback: bool
+    cancellation_ratio: float
 
 
 def _asep_quadrature(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> float:
-    """a*sqrt(b)/sqrt(pi) * int_0^inf e^{-b u^2} F(u^2) du, the kernel
-    average written with gamma = u^2 so the sqrt singularity vanishes."""
-    a, b = mod.a, mod.b
+    """a/2 - a*sqrt(b)/(2 sqrt(pi)) int_0^inf e^{-b g} g^{-1/2} chi1 chi2 dg,
+    the kernel average of the cdf 1 - chi1 chi2.  The integral is the
+    double-exponential rule in x = ln g, centred on the peak g = 1/(2 mu)
+    of g^{1/2} e^{-mu g}, where mu is the integrand's decay rate."""
+    r = _Rates(inputs)
+    g = np.exp(log(0.5 / r.kernel_rate(mod.b)) + _KERNEL_OFFSETS)
+    f = np.exp(-mod.b * g) * np.sqrt(g) * _chi1(inputs, g) * _chi2(inputs, g)
+    kernel = float((_KERNEL_WEIGHTS * f).sum())
+    return mod.a / 2.0 - mod.a * math.sqrt(mod.b) / (2.0 * math.sqrt(math.pi)) * kernel
 
-    def integrand(u: float) -> float:
-        return math.exp(-b * u * u) * cdf_scenario_a(inputs, u * u)
 
-    val, _ = quad(integrand, 0.0, math.inf, epsabs=1e-13, epsrel=1e-10, limit=300)
-    return a * math.sqrt(b) / math.sqrt(math.pi) * val
+def _asep_terms(inputs: SecondaryCdfInputs, r: _Rates, alphas: np.ndarray,
+                mu: float) -> np.ndarray:
+    """Flattened products W Gamma(s) A alpha^{s-j} Psi(s, s+1-j, mu alpha)
+    whose sum is int_0^inf e^{-b g} g^{-1/2} chi1(g) chi2(g) dg.
+
+    Each chi1 x chi2 term pair (n, i1, i2) x (k, k1) is g^{n+k} e^{-mu g}
+    over three pole powers (g + alpha)^{-mult}.  The pairs are grouped by
+    their multiplicities (mz+k1, mz+i2, my+i1) and s = n+k+1/2, W being
+    the summed weight of a group.  A group's pole product is expanded by
+    partial fractions (coefficients A), and the row's distinct Psi
+    triples are evaluated in one ``tricomi_u`` call.
+    """
+    mx, mw, my, mz = inputs.x.m, inputs.w.m, inputs.y.m, inputs.z.m
+    n, i1, i2, c1 = _chi1_table(mx, my, mz)
+    k, k1, c2 = _chi2_table(mw, mz)
+    ln_n = (c1 + (n - i1 - i2) * log(r.beta + 1.0)
+            + (n - my - i1 - mz - i2) * log(r.qx) + my * log(r.by) + mz * log(r.bz))
+    ln_k = c2 + (k - mz - k1) * log(r.qw) + mz * log(r.bz)
+    # integer code of a pair's group, ordered by (k1, i2, i1, n + k)
+    nk = mx + mw
+    code = ((k1 * mx + i2[:, None]) * mx + i1[:, None]) * nk + (n[:, None] + k)
+    groups, member = np.unique(code.astype(np.int64), return_inverse=True)
+    weight = np.bincount(member.ravel(), weights=np.exp(ln_n[:, None] + ln_k).ravel())
+
+    # groups sharing multiplicities are contiguous
+    mult_codes, first = np.unique(groups // nk, return_index=True)
+    member_idx, pf_terms = [], []
+    for mcode, lo, hi in zip(mult_codes.tolist(), first, [*first[1:], len(groups)]):
+        ki, ii1 = divmod(mcode, mx)
+        kk1, ii2 = divmod(ki, mx)
+        pf = np.array(partial_fractions(
+            PoleSet(zip(alphas, (mz + kk1, mz + ii2, my + ii1)))))
+        member_idx.append(np.repeat(np.arange(lo, hi), len(pf)))
+        pf_terms.append(np.tile(pf, (hi - lo, 1)))
+    member_idx = np.concatenate(member_idx)
+    pole, j, coef = np.concatenate(pf_terms).T
+    pole, j = pole.astype(np.int64), j.astype(np.int64)
+    sidx = groups[member_idx] % nk
+    s = sidx + 0.5
+
+    jb = int(j.max()) + 1
+    triples, which = np.unique((pole * jb + j) * nk + sidx, return_inverse=True)
+    tp, tj, ts = triples // (jb * nk), triples // nk % jb, triples % nk + 0.5
+    psi = tricomi_u(ts, ts + 1.0 - tj, mu * alphas[tp])[which]
+    return weight[member_idx] * gamma(s) * coef * alphas[pole] ** (s - j) * psi
 
 
 def asep_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> AsepResult:
@@ -474,67 +563,31 @@ def asep_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> AsepResu
     Closed form: the cdf kernel integral is expanded term by term; each
     term is a product of three pole powers in gamma, expanded by partial
     fractions and integrated against gamma^{n+k-1/2} e^{-mu gamma} via
-    the Tricomi function.  When the three pole locations are too close
-    for a stable expansion the result falls back to direct quadrature of
-    the kernel integral and is flagged.
+    the Tricomi function (see ``_asep_terms``).
+
+    The result falls back to the kernel quadrature ``_asep_quadrature``,
+    and is flagged ``used_fallback``, in two cases: the three pole
+    locations are too close for a stable expansion (NearDegeneratePoles),
+    or the expansion's terms cancel, i.e. its cancellation ratio
+    sum|term| / |sum term| exceeds CANCELLATION_LIMIT = 1e6.
     """
     r = _Rates(inputs)
     a, b = mod.a, mod.b
-    mx, mw, my, mz = inputs.x.m, inputs.w.m, inputs.y.m, inputs.z.m
-    alpha1 = r.bz / r.qw
-    alpha2 = r.bz / r.qx
-    alpha3 = r.by / r.qx
-    mu = b + r.qx * (r.beta + 1.0) + r.qw
-
-    psi_cache: dict[tuple[float, float, float], float] = {}
-
-    def psi(aa: float, bb: float, zz: float) -> float:
-        key = (aa, bb, zz)
-        if key not in psi_cache:
-            psi_cache[key] = tricomi_u(aa, bb, zz)
-        return psi_cache[key]
-
-    pf_cache: dict[tuple[int, int, int], list[tuple[int, int, float]]] = {}
-    alphas = (alpha1, alpha2, alpha3)
-
+    alphas = np.array([r.bz / r.qw, r.bz / r.qx, r.by / r.qx])
     try:
-        terms = []
-        for n in range(mx):
-            for i1 in range(n + 1):
-                for i2 in range(n - i1 + 1):
-                    for k in range(mw):
-                        for k1 in range(k + 1):
-                            lcoef = (
-                                log(comb(n, i1)) + log(comb(n - i1, i2))
-                                + log(comb(k, k1))
-                                + _log_pow(r.beta + 1.0, n - i1 - i2)
-                                + _log_pow(r.qx, n) + _log_pow(r.qw, k)
-                                - lgamma(n + 1) - lgamma(k + 1)
-                                + my * log(r.by) + lgamma(my + i1) - lgamma(my)
-                                + mz * log(r.bz) + lgamma(mz + i2) - lgamma(mz)
-                                + mz * log(r.bz) + lgamma(mz + k1) - lgamma(mz)
-                                - (my + i1 + mz + i2) * log(r.qx)
-                                - (mz + k1) * log(r.qw)
-                            )
-                            mults = (mz + k1, mz + i2, my + i1)
-                            if mults not in pf_cache:
-                                pf_cache[mults] = partial_fractions(
-                                    PoleSet(tuple(zip(alphas, mults))))
-                            s = n + k + 0.5
-                            inner = fsum(
-                                coef
-                                * alphas[pi] ** (s - j)
-                                * psi(s, s + 1.0 - j, mu * alphas[pi])
-                                for pi, j, coef in pf_cache[mults]
-                            )
-                            terms.append(exp(lcoef + lgamma(s)) * inner)
-        kernel = fsum(terms)
-        value = a / 2.0 - a * math.sqrt(b) / (2.0 * math.sqrt(math.pi)) * kernel
-        used_fallback = False
+        terms = _asep_terms(inputs, r, alphas, r.kernel_rate(b))
     except NearDegeneratePoles:
+        kernel, ratio = math.nan, math.inf
+    else:
+        kernel = fsum(terms)
+        ratio = fsum(np.abs(terms)) / abs(kernel) if kernel else math.inf
+    used_fallback = not ratio <= CANCELLATION_LIMIT
+    if used_fallback:
         value = _asep_quadrature(inputs, mod)
-        used_fallback = True
+    else:
+        value = a / 2.0 - a * math.sqrt(b) / (2.0 * math.sqrt(math.pi)) * kernel
 
     if value < -CLAMP_TOL or value > a / 2.0 + 1e-9:
         raise NumericalInstability(f"asep_scenario_a: value {value!r} outside [0, a/2]")
-    return AsepResult(value=min(a / 2.0, max(0.0, value)), used_fallback=used_fallback)
+    return AsepResult(value=min(a / 2.0, max(0.0, value)), used_fallback=used_fallback,
+                      cancellation_ratio=ratio)

