@@ -18,13 +18,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, exp, fsum, lgamma, log
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gamma, xlogy
 
 from .errors import Infeasible, NearDegeneratePoles, NumericalInstability
 from .model import FadingLink, ModulationSpec
-from .specfun import PoleSet, de_rule, partial_fractions, tricomi_u
+from .specfun import de_rule, partial_fraction_series, tricomi_u
 
 __all__ = [
     "PrimaryOutageInputs",
@@ -37,7 +38,6 @@ __all__ = [
     "cdf_scenario_a",
     "cdf_scenario_a_e2e",
     "cdf_scenario_b",
-    "outage_capacity",
     "asep_scenario_a",
 ]
 
@@ -271,9 +271,9 @@ class _Rates:
         return b + self.qx * (self.beta + 1.0) + self.qw
 
 
-def _frozen(*columns) -> tuple[np.ndarray, ...]:
-    """Read-only float arrays of ``columns``, safe to share from a cache."""
-    out = tuple(np.array(c, dtype=float) for c in columns)
+def _frozen(*columns, dtype=float) -> tuple[np.ndarray, ...]:
+    """Read-only arrays of ``columns``, safe to share from a cache."""
+    out = tuple(np.array(c, dtype=dtype) for c in columns)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -344,61 +344,75 @@ def cdf_scenario_a(inputs: SecondaryCdfInputs, theta: float) -> float:
                               "cdf_scenario_a")
 
 
+@lru_cache(maxsize=64)
+def _survival_table(mx: int, my: int, mz: int, mv: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Term columns of ``_survival_side``: the indices of upsilon_1's
+    subtracted sum and of upsilon_2, each with its theta-free log
+    constants, one column per summand of the term's log so that a row can
+    add them in the order of the term formula."""
+    sub = [(rho, e1, e2, varpi, t1, t2)
+           for varpi in range(mv) for rho in range(mx)
+           for e1 in range(rho + 1) for e2 in range(rho - e1 + 1)
+           for t1 in range(varpi + 1) for t2 in range(varpi - t1 + 1)]
+    sub_cols = [(log(comb(rho, e1)), log(comb(rho - e1, e2)),
+                 log(comb(varpi, t1)), log(comb(varpi - t1, t2)),
+                 rho - e1 - e2, varpi - t1 - t2, rho, lgamma(rho + 1),
+                 varpi, lgamma(varpi + 1), my + e1 + t1, lgamma(my + e1 + t1),
+                 mz + e2 + t2, lgamma(mz + e2 + t2))
+                for rho, e1, e2, varpi, t1, t2 in sub]
+    ups = [(i, j, k, k1, k2)
+           for i in range(mx) for j in range(i + 1) for k in range(mv + j)
+           for k1 in range(k + 1) for k2 in range(k1 + 1)]
+    ups_cols = [(i, lgamma(i + 1), log(comb(i, j)), lgamma(mv + j), mv + j - k,
+                 lgamma(k + 1), log(comb(k, k1)), log(comb(k1, k2)), k - k1,
+                 mz + k2, lgamma(mz + k2), my + k1 - k2, lgamma(my + k1 - k2))
+                for i, j, k, k1, k2 in ups]
+    return _frozen(*zip(*sub_cols)), _frozen(*zip(*ups_cols))
+
+
+def _fsum_exp(lt: np.ndarray) -> float:
+    """fsum of exp(lt), each term by ``math.exp``: numpy's vector exp can
+    differ from it in the last bit, and these sums are not compensated
+    against that."""
+    return fsum(map(exp, lt.tolist()))
+
+
 def _survival_side(inp: SecondaryCdfInputs, theta: float) -> float:
     """E[Pr{X > max(Z + Y + beta + 1, V + 1) theta / gr}] split into the
-    V <= Z + Y + beta region (upsilon_1) and its complement (upsilon_2)."""
+    V <= Z + Y + beta region (upsilon_1) and its complement (upsilon_2).
+
+    The term indices and their theta-free log constants are tabled once
+    per link-shape tuple (``_survival_table``); a call adds the theta
+    dependent parts column by column, in the order of the term formula,
+    and sums the exponentials with ``fsum``.
+    """
     r = _Rates(inp)
     cx = r.qx * theta
-    mx, my, mz, mv = inp.x.m, inp.y.m, inp.z.m, inp.v.m
+    my, mz, mv = inp.y.m, inp.z.m, inp.v.m
+    sub, ups = _survival_table(inp.x.m, my, mz, mv)
 
     # upsilon_1 = chi1 - E[Pr{X > (Z+Y+beta+1) theta/gr} ; V > Z+Y+beta]
-    sub = []
-    for varpi in range(mv):
-        for rho in range(mx):
-            for e1 in range(rho + 1):
-                for e2 in range(rho - e1 + 1):
-                    for t1 in range(varpi + 1):
-                        for t2 in range(varpi - t1 + 1):
-                            lt = (
-                                -cx * (r.beta + 1.0) - r.bv * r.beta
-                                + log(comb(rho, e1)) + log(comb(rho - e1, e2))
-                                + log(comb(varpi, t1)) + log(comb(varpi - t1, t2))
-                                + _log_pow(r.beta + 1.0, rho - e1 - e2)
-                                + _log_pow(r.beta, varpi - t1 - t2)
-                                + _log_pow(cx, rho) - lgamma(rho + 1)
-                                + _log_pow(r.bv, varpi) - lgamma(varpi + 1)
-                                + my * log(r.by) + lgamma(my + e1 + t1) - lgamma(my)
-                                - (my + e1 + t1) * log(cx + r.bv + r.by)
-                                + mz * log(r.bz) + lgamma(mz + e2 + t2) - lgamma(mz)
-                                - (mz + e2 + t2) * log(cx + r.bv + r.bz)
-                            )
-                            sub.append(exp(lt))
-    upsilon1 = _chi1(inp, theta) - fsum(sub)
+    (lc_e1, lc_e2, lc_t1, lc_t2, q_rho, q_varpi, rho, lg_rho, varpi, lg_varpi,
+     ny, lg_ny, nz, lg_nz) = sub
+    lt = (-cx * (r.beta + 1.0) - r.bv * r.beta
+          + lc_e1 + lc_e2 + lc_t1 + lc_t2
+          + q_rho * log(r.beta + 1.0) + q_varpi * log(r.beta)
+          + rho * log(cx) - lg_rho + varpi * log(r.bv) - lg_varpi
+          + my * log(r.by) + lg_ny - lgamma(my) - ny * log(cx + r.bv + r.by)
+          + mz * log(r.bz) + lg_nz - lgamma(mz) - nz * log(cx + r.bv + r.bz))
+    upsilon1 = _chi1(inp, theta) - _fsum_exp(lt)
 
     # upsilon_2 = E[Pr{X > (V+1) theta/gr} ; V > Z+Y+beta]
     s = cx + r.bv
-    terms = []
-    for i in range(mx):
-        for j in range(i + 1):
-            for k in range(mv + j):
-                for k1 in range(k + 1):
-                    for k2 in range(k1 + 1):
-                        lt = (
-                            -cx - r.beta * s
-                            + _log_pow(cx, i) - lgamma(i + 1)
-                            + log(comb(i, j))
-                            + mv * log(r.bv) + lgamma(mv + j) - lgamma(mv)
-                            - (mv + j - k) * log(s) - lgamma(k + 1)
-                            + log(comb(k, k1)) + log(comb(k1, k2))
-                            + _log_pow(r.beta, k - k1)
-                            + mz * log(r.bz) + lgamma(mz + k2) - lgamma(mz)
-                            - (mz + k2) * log(s + r.bz)
-                            + my * log(r.by) + lgamma(my + k1 - k2) - lgamma(my)
-                            - (my + k1 - k2) * log(s + r.by)
-                        )
-                        terms.append(exp(lt))
-    upsilon2 = fsum(terms)
-    return upsilon1 + upsilon2
+    (i, lg_i, lc_ij, lg_vj, e_s, lg_k, lc_kk1, lc_k1k2, q_k, nz, lg_nz,
+     ny, lg_ny) = ups
+    lt = (-cx - r.beta * s
+          + i * log(cx) - lg_i + lc_ij
+          + mv * log(r.bv) + lg_vj - lgamma(mv)
+          - e_s * log(s) - lg_k + lc_kk1 + lc_k1k2 + q_k * log(r.beta)
+          + mz * log(r.bz) + lg_nz - lgamma(mz) - nz * log(s + r.bz)
+          + my * log(r.by) + lg_ny - lgamma(my) - ny * log(s + r.by))
+    return upsilon1 + _fsum_exp(lt)
 
 
 def cdf_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float) -> float:
@@ -464,24 +478,6 @@ def cdf_scenario_b(inputs: list[SecondaryCdfInputs], K: int, theta: float) -> fl
     return _clamp_probability(prod, "cdf_scenario_b")
 
 
-def outage_capacity(scenario, inputs, theta: float, *, end_to_end: bool = True) -> float:
-    """Outage capacity of the secondary network at threshold ``theta``.
-
-    Dispatches on the scenario: Scenario A evaluates the end-to-end cdf
-    (or the single-direction cdf with ``end_to_end=False``); Scenario B
-    takes a per-relay input list.
-    """
-    from .model import Scenario  # local import to avoid cycle at module load
-
-    if scenario is Scenario.A:
-        if end_to_end:
-            return cdf_scenario_a_e2e(inputs, theta)
-        return cdf_scenario_a(inputs, theta)
-    if scenario is Scenario.B:
-        return cdf_scenario_b(list(inputs), len(inputs), theta)
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
 # ---------------------------------------------------------------------------
 # ASEP, Scenario (a)
 # ---------------------------------------------------------------------------
@@ -510,6 +506,56 @@ def _asep_quadrature(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> float:
     return mod.a / 2.0 - mod.a * math.sqrt(mod.b) / (2.0 * math.sqrt(math.pi)) * kernel
 
 
+class _AsepLayout(NamedTuple):
+    """What ``_asep_terms`` needs beyond the link rates, per link-shape
+    tuple (``_asep_layout``); every array is read-only."""
+
+    member: np.ndarray      # group of each chi1 x chi2 term pair (raveled)
+    mults: np.ndarray       # (T, 3) pole multiplicities of the T groups' triples
+    group: np.ndarray       # group of each flattened term
+    coef_idx: np.ndarray    # index of its coefficient in the raveled (T, 3, K) series
+    pole: np.ndarray        # its pole
+    psi_idx: np.ndarray     # index of its Psi in the raveled (G, J) grid
+    psi_pole: np.ndarray    # (G, 1) pole of the distinct (pole, s) pairs
+    gamma_s: np.ndarray     # Gamma(s) of each flattened term
+    expo: np.ndarray        # its s - j
+    psi_s: np.ndarray       # (G, 1) s of the distinct (pole, s) pairs
+    psi_j: np.ndarray       # (J,) orders j = 1..J
+
+
+@lru_cache(maxsize=64)
+def _asep_layout(mx: int, mw: int, my: int, mz: int) -> _AsepLayout:
+    """Group codes of the chi1 x chi2 term pairs, the partial-fraction
+    term index (triple, pole, j), Gamma(s), the exponents s - j and the
+    distinct Psi keys of the ASEP expansion; see ``_asep_terms``."""
+    n, i1, i2, _ = _chi1_table(mx, my, mz)
+    k, k1, _ = _chi2_table(mw, mz)
+    n, i1, i2, k, k1 = (c.astype(np.int64) for c in (n, i1, i2, k, k1))
+    # integer code of a pair's group, ordered by (k1, i2, i1, n + k)
+    nk = mx + mw
+    code = ((k1 * mx + i2[:, None]) * mx + i1[:, None]) * nk + (n[:, None] + k)
+    groups, member = np.unique(code, return_inverse=True)
+    mult_codes, triple = np.unique(groups // nk, return_inverse=True)
+    ki, ii1 = np.divmod(mult_codes, mx)
+    kk1, ii2 = np.divmod(ki, mx)
+    mults = np.stack([mz + kk1, mz + ii2, my + ii1], axis=1)
+    # each group's terms in the order (pole, j = 1..multiplicity)
+    terms = [(g, p, j) for g, t in enumerate(triple.tolist())
+             for p, m in enumerate(mults[t].tolist()) for j in range(1, m + 1)]
+    group, pole, j = (np.array(c, dtype=np.int64) for c in zip(*terms))
+    order = int(mults.max())
+    coef_idx = (triple[group] * 3 + pole) * order + mults[triple[group], pole] - j
+    sidx = groups[group] % nk
+    s = sidx + 0.5
+    keys, psi_row = np.unique(pole * nk + sidx, return_inverse=True)
+    jmax = int(j.max())
+    psi_idx = psi_row * jmax + j - 1
+    return _AsepLayout(
+        *_frozen(member.ravel(), mults, group, coef_idx, pole, psi_idx,
+                 (keys // nk)[:, None], dtype=np.int64),
+        *_frozen(gamma(s), s - j, (keys % nk + 0.5)[:, None], np.arange(1, jmax + 1)))
+
+
 def _asep_terms(inputs: SecondaryCdfInputs, r: _Rates, alphas: np.ndarray,
                 mu: float) -> np.ndarray:
     """Flattened products W Gamma(s) A alpha^{s-j} Psi(s, s+1-j, mu alpha)
@@ -518,43 +564,29 @@ def _asep_terms(inputs: SecondaryCdfInputs, r: _Rates, alphas: np.ndarray,
     Each chi1 x chi2 term pair (n, i1, i2) x (k, k1) is g^{n+k} e^{-mu g}
     over three pole powers (g + alpha)^{-mult}.  The pairs are grouped by
     their multiplicities (mz+k1, mz+i2, my+i1) and s = n+k+1/2, W being
-    the summed weight of a group.  A group's pole product is expanded by
-    partial fractions (coefficients A), and the row's distinct Psi
-    triples are evaluated in one ``tricomi_u`` call.
+    the summed weight of a group.  Every pole product is expanded by
+    partial fractions (coefficients A).
+
+    Everything that depends on the link shapes only is cached per
+    (mx, mw, my, mz) in ``_asep_layout``: the group of each pair, the
+    multiplicity triples, the term index (group, pole, j), Gamma(s), the
+    exponents s - j and the distinct (pole, s) pairs of Psi.  A call
+    computes the weights, one batched partial-fraction expansion of all
+    triples, one ``tricomi_u`` call on the (pole, s) x j grid (a and z
+    of shape (G, 1), b of shape (G, J)) and the products.
     """
     mx, mw, my, mz = inputs.x.m, inputs.w.m, inputs.y.m, inputs.z.m
+    lay = _asep_layout(mx, mw, my, mz)
     n, i1, i2, c1 = _chi1_table(mx, my, mz)
     k, k1, c2 = _chi2_table(mw, mz)
     ln_n = (c1 + (n - i1 - i2) * log(r.beta + 1.0)
             + (n - my - i1 - mz - i2) * log(r.qx) + my * log(r.by) + mz * log(r.bz))
     ln_k = c2 + (k - mz - k1) * log(r.qw) + mz * log(r.bz)
-    # integer code of a pair's group, ordered by (k1, i2, i1, n + k)
-    nk = mx + mw
-    code = ((k1 * mx + i2[:, None]) * mx + i1[:, None]) * nk + (n[:, None] + k)
-    groups, member = np.unique(code.astype(np.int64), return_inverse=True)
-    weight = np.bincount(member.ravel(), weights=np.exp(ln_n[:, None] + ln_k).ravel())
-
-    # groups sharing multiplicities are contiguous
-    mult_codes, first = np.unique(groups // nk, return_index=True)
-    member_idx, pf_terms = [], []
-    for mcode, lo, hi in zip(mult_codes.tolist(), first, [*first[1:], len(groups)]):
-        ki, ii1 = divmod(mcode, mx)
-        kk1, ii2 = divmod(ki, mx)
-        pf = np.array(partial_fractions(
-            PoleSet(zip(alphas, (mz + kk1, mz + ii2, my + ii1)))))
-        member_idx.append(np.repeat(np.arange(lo, hi), len(pf)))
-        pf_terms.append(np.tile(pf, (hi - lo, 1)))
-    member_idx = np.concatenate(member_idx)
-    pole, j, coef = np.concatenate(pf_terms).T
-    pole, j = pole.astype(np.int64), j.astype(np.int64)
-    sidx = groups[member_idx] % nk
-    s = sidx + 0.5
-
-    jb = int(j.max()) + 1
-    triples, which = np.unique((pole * jb + j) * nk + sidx, return_inverse=True)
-    tp, tj, ts = triples // (jb * nk), triples // nk % jb, triples % nk + 0.5
-    psi = tricomi_u(ts, ts + 1.0 - tj, mu * alphas[tp])[which]
-    return weight[member_idx] * gamma(s) * coef * alphas[pole] ** (s - j) * psi
+    weight = np.bincount(lay.member, weights=np.exp(ln_n[:, None] + ln_k).ravel())
+    coef = partial_fraction_series(alphas, lay.mults).ravel()[lay.coef_idx]
+    psi = tricomi_u(lay.psi_s, lay.psi_s + 1.0 - lay.psi_j, mu * alphas[lay.psi_pole])
+    return (weight[lay.group] * lay.gamma_s * coef * alphas[lay.pole] ** lay.expo
+            * psi.ravel()[lay.psi_idx])
 
 
 def asep_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> AsepResult:

@@ -33,6 +33,7 @@ __all__ = [
     "upper_incomplete_gamma_int",
     "log_upper_incomplete_gamma_int",
     "tricomi_u",
+    "partial_fraction_series",
     "partial_fractions",
 ]
 
@@ -96,15 +97,6 @@ def upper_incomplete_gamma_int(n: int, x: float) -> float:
     return math.exp(log_upper_incomplete_gamma_int(n, x))
 
 
-def gamma_survival(n: int, x: float) -> float:
-    """Regularized upper gamma Gamma(n, x)/Gamma(n) for integer n >= 1.
-
-    This is the survival function of a unit-scale Gamma(n) variate and
-    the workhorse of every outage expression.
-    """
-    return math.exp(log_upper_incomplete_gamma_int(n, x) - math.lgamma(n))
-
-
 def de_rule(h: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the double-exponential rule in x = ln t.
 
@@ -138,24 +130,91 @@ def tricomi_u(a, b, z):
     and below 1e-15 on the general (a, b) cases of the tests
     (a <= 10.5, z <= 1e4).  Scalar arguments give a ``float``, arrays an
     array of the broadcast shape.
+
+    Everything but the (1+t)^{b-a-1} factor (the nodes, t, ln(1+t),
+    a x + ln w - ln Gamma(a) and z t) depends on (a, z) only, so it is
+    built on the broadcast grid of ``a`` and ``z`` and ``b`` is broadcast
+    over it last: a call with ``a`` and ``z`` of shape (G, 1) and ``b`` of
+    shape (G, J) does the node work G times, not G J times.  Each value is
+    ((a x + ln w) - ln Gamma(a)) + ln(1+t) (b-a-1) - z t at every node, so
+    it is bit-identical to the scalar call at the same (a, b, z).
     """
-    a, b, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, z)))
+    a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(z, dtype=float))
+    b = np.asarray(b, dtype=float)
     if not (np.all(a > 0.0) and np.all(z > 0.0)):
         raise ValueError(f"tricomi_u requires a > 0 and z > 0, got a={a}, z={z}")
-    # the log-integrand at every node is built in place, so at most three
-    # arrays of (broadcast shape) x (nodes) are alive at once
     x = (np.log(np.maximum(a, 0.5)) - np.log(np.maximum(z, 1.0)))[..., None] + _PSI_OFFSETS
-    log_f = a[..., None] * x
-    log_f += _PSI_LOG_WEIGHTS
-    log_f -= gammaln(a)[..., None]
+    base = a[..., None] * x
+    base += _PSI_LOG_WEIGHTS
+    base -= gammaln(a)[..., None]
     t = np.exp(x, out=x)
     log_1pt = np.log1p(t)
-    log_1pt *= (b - a - 1.0)[..., None]
-    log_f += log_1pt
     t *= z[..., None]
+    # (1+t)^{b-a-1} first, so the one array of the full shape is built in
+    # place (x + y == y + x, so the sum is unchanged)
+    log_f = log_1pt * (b - a - 1.0)[..., None]
+    log_f += base
     log_f -= t
     val = np.exp(log_f, out=log_f).sum(axis=-1)
     return float(val) if val.ndim == 0 else val
+
+
+def _check_separation(locations) -> None:
+    """Raise NearDegeneratePoles when two locations are closer than
+    POLE_SEPARATION_FLOOR in relative terms."""
+    sep = PoleSet((loc, 1) for loc in locations).min_relative_separation()
+    if sep <= POLE_SEPARATION_FLOOR:
+        raise NearDegeneratePoles(
+            f"pole separation {sep:.3e} below {POLE_SEPARATION_FLOOR:.0e}")
+
+
+def partial_fraction_series(locations, multiplicities) -> np.ndarray:
+    """Partial-fraction expansions of a batch of pole products that share
+    their pole locations and differ in multiplicities.
+
+    ``locations`` holds the P locations alpha_i and ``multiplicities`` is
+    an (R, P) integer array, one pole product prod_i (x + alpha_i)^{-n_i}
+    per row.  Returns S of shape (R, P, K), K the largest multiplicity,
+    where S[r, i, q] (q below the largest n_i of the batch, zero above) is
+    the coefficient of h^q (h = x + alpha_i) in the
+    Taylor series of the deflated product prod_{l != i} (x + alpha_l)^{-n_l}
+    of row r.  The coefficient of (x + alpha_i)^{-j} is then
+    A_{i,j} = S[r, i, n_i - j] for j = 1..n_i.
+
+    The series of (d + h)^{-n} = d^{-n} sum_k C(n+k-1, k) (-h/d)^k, with
+    d = alpha_l - alpha_i, are tabled once per (i, l, n) in Python floats,
+    and the products are truncated convolutions over all rows at once,
+    each coefficient summed in ascending order of the first factor.
+
+    Raises NearDegeneratePoles when any pair of pole locations is closer
+    than POLE_SEPARATION_FLOOR in relative terms.
+    """
+    locs = [float(loc) for loc in locations]
+    mults = np.asarray(multiplicities, dtype=np.int64).reshape(-1, len(locs))
+    _check_separation(locs)
+    out = np.zeros((len(mults), len(locs), int(mults.max(initial=1))))
+    for i, alpha_i in enumerate(locs):
+        order = int(mults[:, i].max(initial=1))
+        facs = []
+        for j, alpha_j in enumerate(locs):
+            if j == i:
+                continue
+            d = alpha_j - alpha_i
+            lo, hi = int(mults[:, j].min()), int(mults[:, j].max())
+            table = np.array([[math.comb(n + k - 1, k) * (-1.0 / d) ** k * d ** (-n)
+                               for k in range(order)] for n in range(lo, hi + 1)])
+            facs.append(table[mults[:, j] - lo])
+        if not facs:
+            out[:, i, 0] = 1.0
+            continue
+        series = facs[0]
+        for fac in facs[1:]:
+            prod = np.zeros_like(series)
+            for k in range(order):
+                prod[:, k:] += series[:, k, None] * fac[:, :order - k]
+            series = prod
+        out[:, i, :order] = series
+    return out
 
 
 def partial_fractions(pole_set: PoleSet) -> list[tuple[int, int, float]]:
@@ -167,47 +226,15 @@ def partial_fractions(pole_set: PoleSet) -> list[tuple[int, int, float]]:
 
     Coefficients are Taylor coefficients of the deflated product around
     each pole, computed by exact truncated-series arithmetic (no
-    numerical differentiation).
+    numerical differentiation): this is a one-row call of
+    ``partial_fraction_series``.
 
     Raises NearDegeneratePoles when any pair of pole locations is closer
     than POLE_SEPARATION_FLOOR in relative terms.
     """
-    if pole_set.min_relative_separation() <= POLE_SEPARATION_FLOOR:
-        raise NearDegeneratePoles(
-            f"pole separation {pole_set.min_relative_separation():.3e} below "
-            f"{POLE_SEPARATION_FLOOR:.0e}"
-        )
-    poles = pole_set.poles
-    out: list[tuple[int, int, float]] = []
-    for i, (alpha_i, n_i) in enumerate(poles):
-        # Taylor series of psi_i(x) = prod_{j != i} (x + alpha_j)^{-n_j}
-        # in h = x + alpha_i, truncated at order n_i - 1.
-        series = [0.0] * n_i
-        series[0] = 1.0
-        for j, (alpha_j, n_j) in enumerate(poles):
-            if j == i:
-                continue
-            d = alpha_j - alpha_i
-            # (d + h)^{-n_j} = d^{-n_j} sum_k binom(n_j+k-1, k) (-h/d)^k
-            fac = [
-                math.comb(n_j + k - 1, k) * (-1.0 / d) ** k * d ** (-n_j)
-                for k in range(n_i)
-            ]
-            series = _poly_mul_trunc(series, fac, n_i)
-        # coefficient of h^{n_i - j} is A_{i,j}
-        for j in range(1, n_i + 1):
-            out.append((i, j, series[n_i - j]))
-    return out
-
-
-def _poly_mul_trunc(p: list[float], q: list[float], order: int) -> list[float]:
-    out = [0.0] * order
-    for i, pi in enumerate(p):
-        if pi == 0.0:
-            continue
-        for j, qj in enumerate(q):
-            if i + j >= order:
-                break
-            out[i + j] += pi * qj
-    return out
-
+    if not pole_set.poles:
+        return []
+    locs, mults = zip(*pole_set.poles)
+    series = partial_fraction_series(locs, [mults])[0]
+    return [(i, j, float(series[i, n - j]))
+            for i, n in enumerate(mults) for j in range(1, n + 1)]

@@ -5,17 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma
 
 from cogrelay.config import parse_config
 from cogrelay.errors import Infeasible, NumericalInstability
-from cogrelay.model import FadingLink as L, ModulationSpec, Scenario, mpsk_constants
+from cogrelay.model import FadingLink as L, ModulationSpec, mpsk_constants
 from cogrelay.analytic import (PrimaryOutageInputs, SecondaryCdfInputs,
                                asep_scenario_a, cdf_scenario_a,
                                cdf_scenario_a_e2e, cdf_scenario_b,
-                               outage_capacity, primary_outage,
+                               primary_outage,
                                relay_phase_outage, solve_relay_power,
                                solve_secondary_source_power)
 from cogrelay import analytic, cli, oracle
+from cogrelay.specfun import PoleSet, partial_fractions, tricomi_u
 
 PRIM = PrimaryOutageInputs(
     e=L(2, 1.0), f=L(1, 0.8), g=L(2, 1.2), l=L(1, 0.9),
@@ -149,6 +151,16 @@ class TestEndToEndCdf:
         vals = [cdf_scenario_a_e2e(SEC, float(t)) for t in grid]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_survival_side_matches_quadrature_at_high_m(self, theta):
+        # the links of the high-severity workload (x=6, w=5, y=4, z=3,
+        # v=2) at powers where the survival is 0.52 (theta 0.5) and 0.008
+        inp = SecondaryCdfInputs(
+            x=L(6, 0.7), w=L(5, 1.1), y=L(4, 0.9), z=L(3, 0.05), v=L(2, 0.04),
+            gamma_bar_p=10.0, gamma_bar_s=8.0, gamma_bar_r=12.0)
+        ref = oracle.survival_side_oracle(inp, theta, oracle.QuadratureSpec(1e-9))
+        assert analytic._survival_side(inp, theta) == pytest.approx(ref, rel=1e-8)
+
 
 def _relay_inputs(n, seed=0):
     rng = np.random.default_rng(seed)
@@ -189,19 +201,6 @@ class TestSelectionCdf:
 
     def test_zero_threshold(self):
         assert cdf_scenario_b(_relay_inputs(2), 2, 0.0) == 0.0
-
-
-class TestDispatch:
-    def test_scenario_a(self):
-        assert outage_capacity(Scenario.A, SEC, 1.3) == pytest.approx(
-            cdf_scenario_a_e2e(SEC, 1.3))
-        assert outage_capacity(Scenario.A, SEC, 1.3, end_to_end=False) == \
-            pytest.approx(cdf_scenario_a(SEC, 1.3))
-
-    def test_scenario_b(self):
-        inputs = _relay_inputs(2, seed=2)
-        assert outage_capacity(Scenario.B, inputs, 1.3) == pytest.approx(
-            cdf_scenario_b(inputs, 2, 1.3))
 
 
 class TestAsep:
@@ -343,3 +342,111 @@ class TestAsepCancellation:
         for inp in (SEC, _sec(x=L(2, 1.0), w=L(2, 1.0)), high):
             ref = oracle.asep_oracle(inp, self.MOD, tight)
             assert analytic._asep_quadrature(inp, self.MOD) == pytest.approx(ref, rel=1e-12)
+
+
+def _survival_side_loop(inp, theta):
+    """``analytic._survival_side`` term by term in Python floats."""
+    r = analytic._Rates(inp)
+    cx = r.qx * theta
+    mx, my, mz, mv = inp.x.m, inp.y.m, inp.z.m, inp.v.m
+    lp = analytic._log_pow
+    lc = lambda n, k: math.log(math.comb(n, k))
+    lg = math.lgamma
+    sub = []
+    for varpi in range(mv):
+        for rho in range(mx):
+            for e1 in range(rho + 1):
+                for e2 in range(rho - e1 + 1):
+                    for t1 in range(varpi + 1):
+                        for t2 in range(varpi - t1 + 1):
+                            sub.append(math.exp(
+                                -cx * (r.beta + 1.0) - r.bv * r.beta
+                                + lc(rho, e1) + lc(rho - e1, e2)
+                                + lc(varpi, t1) + lc(varpi - t1, t2)
+                                + lp(r.beta + 1.0, rho - e1 - e2)
+                                + lp(r.beta, varpi - t1 - t2)
+                                + lp(cx, rho) - lg(rho + 1)
+                                + lp(r.bv, varpi) - lg(varpi + 1)
+                                + my * math.log(r.by) + lg(my + e1 + t1) - lg(my)
+                                - (my + e1 + t1) * math.log(cx + r.bv + r.by)
+                                + mz * math.log(r.bz) + lg(mz + e2 + t2) - lg(mz)
+                                - (mz + e2 + t2) * math.log(cx + r.bv + r.bz)))
+    s = cx + r.bv
+    terms = []
+    for i in range(mx):
+        for j in range(i + 1):
+            for k in range(mv + j):
+                for k1 in range(k + 1):
+                    for k2 in range(k1 + 1):
+                        terms.append(math.exp(
+                            -cx - r.beta * s
+                            + lp(cx, i) - lg(i + 1) + lc(i, j)
+                            + mv * math.log(r.bv) + lg(mv + j) - lg(mv)
+                            - (mv + j - k) * math.log(s) - lg(k + 1)
+                            + lc(k, k1) + lc(k1, k2) + lp(r.beta, k - k1)
+                            + mz * math.log(r.bz) + lg(mz + k2) - lg(mz)
+                            - (mz + k2) * math.log(s + r.bz)
+                            + my * math.log(r.by) + lg(my + k1 - k2) - lg(my)
+                            - (my + k1 - k2) * math.log(s + r.by)))
+    return analytic._chi1(inp, theta) - math.fsum(sub) + math.fsum(terms)
+
+
+def _shaped(mx, mw, my, mz, mv=2):
+    return SecondaryCdfInputs(
+        x=L(mx, 0.7), w=L(mw, 1.1), y=L(my, 0.9), z=L(mz, 0.05), v=L(mv, 0.04),
+        gamma_bar_p=100.0, gamma_bar_s=8.0, gamma_bar_r=12.0)
+
+
+# link shapes (x, w, y, z) of the analytic_highm workload, of example.cfg
+# and a high-severity set with m = 8
+SHAPES = pytest.mark.parametrize("shapes", [(6, 5, 4, 3), (3, 2, 2, 1), (8, 4, 3, 2)],
+                                 ids=["analytic_highm", "example", "m8"])
+
+
+@SHAPES
+def test_survival_side_bit_identical_to_term_loop(shapes):
+    # a last-bit change in single terms moves the fsum only now and then,
+    # hence the 40 thresholds per side
+    inp = _shaped(*shapes)
+    for side in (inp, inp.swapped()):
+        for theta in np.geomspace(0.05, 20.0, 40).tolist():
+            assert analytic._survival_side(side, theta) == _survival_side_loop(side, theta)
+
+
+def _asep_terms_reference(inp, r, alphas, mu):
+    """The terms of ``analytic._asep_terms`` assembled group by group,
+    without the cached layout: each multiplicity triple is expanded on its
+    own by ``partial_fractions`` and each Psi is a scalar ``tricomi_u``."""
+    mx, mw, my, mz = inp.x.m, inp.w.m, inp.y.m, inp.z.m
+    n, i1, i2, c1 = analytic._chi1_table(mx, my, mz)
+    k, k1, c2 = analytic._chi2_table(mw, mz)
+    ln_n = (c1 + (n - i1 - i2) * math.log(r.beta + 1.0)
+            + (n - my - i1 - mz - i2) * math.log(r.qx) + my * math.log(r.by)
+            + mz * math.log(r.bz))
+    ln_k = c2 + (k - mz - k1) * math.log(r.qw) + mz * math.log(r.bz)
+    pair_w = np.exp(ln_n[:, None] + ln_k)
+    weights = {}
+    for a in range(len(n)):
+        for b in range(len(k)):
+            key = (int(k1[b]), int(i2[a]), int(i1[a]), int(n[a] + k[b]))
+            weights[key] = weights.get(key, 0.0) + pair_w[a, b]
+    expansions, cols = {}, []
+    for (kk1, ii2, ii1, nk), w in sorted(weights.items()):
+        mults = (mz + kk1, mz + ii2, my + ii1)
+        if mults not in expansions:
+            expansions[mults] = partial_fractions(PoleSet(zip(alphas, mults)))
+        s = nk + 0.5
+        cols += [(w, s, coef, pole, j, tricomi_u(s, s + 1.0 - j, mu * alphas[pole]))
+                 for pole, j, coef in expansions[mults]]
+    w, s, coef, pole, j, psi = (np.array(c) for c in zip(*cols))
+    return w * gamma(s) * coef * alphas[pole] ** (s - j) * psi
+
+
+@SHAPES
+def test_asep_terms_bit_identical_to_per_triple_assembly(shapes):
+    inp = _shaped(*shapes)
+    r = analytic._Rates(inp)
+    alphas = np.array([r.bz / r.qw, r.bz / r.qx, r.by / r.qx])
+    mu = r.kernel_rate(mpsk_constants(4).b)
+    got = analytic._asep_terms(inp, r, alphas, mu)
+    assert np.array_equal(got, _asep_terms_reference(inp, r, alphas, mu))

@@ -1,9 +1,14 @@
 """Source-level rules of the package that no runtime test can see."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
+import numpy as np
+
 import cogrelay
+from cogrelay import analytic
 
 SOURCES = sorted(Path(cogrelay.__file__).parent.glob("*.py"))
 
@@ -37,3 +42,29 @@ def test_closed_forms_use_no_adaptive_quadrature():
                       if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
     assert {path.name for path in SOURCES} >= {"analytic.py", "specfun.py"}
     assert not found, f"scipy.integrate imported by: {', '.join(found)}"
+
+
+def _arrays(value):
+    """Every numpy array inside ``value`` (tuples, lists, dataclasses)."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _arrays(getattr(value, field.name))
+
+
+def test_cached_tables_are_read_only():
+    # the lru_cache'd tables and layouts of the closed forms are shared by
+    # every row with the same link shapes, so a row that wrote into one
+    # would corrupt all later rows; their arrays must refuse writes
+    builders = {name: fn for name, fn in vars(analytic).items()
+                if callable(fn) and hasattr(fn, "cache_info")}
+    assert len(builders) >= 4, sorted(builders)
+    for name, fn in builders.items():
+        shapes = (3,) * len(inspect.signature(fn).parameters)
+        arrays = list(_arrays(fn(*shapes)))
+        assert arrays, f"{name} returned no arrays"
+        assert not any(a.flags.writeable for a in arrays), f"{name} returned a writable array"

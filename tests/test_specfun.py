@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaincc
 
 from cogrelay.errors import NearDegeneratePoles
-from cogrelay.specfun import (POLE_SEPARATION_FLOOR, PoleSet, gamma_survival,
-                              partial_fractions, tricomi_u,
-                              upper_incomplete_gamma_int)
+from cogrelay.specfun import (POLE_SEPARATION_FLOOR, PoleSet,
+                              partial_fraction_series, partial_fractions,
+                              tricomi_u, upper_incomplete_gamma_int)
 
 
 def _direct_product(poles: PoleSet, t: float) -> float:
@@ -25,6 +24,29 @@ def _reconstruct(poles: PoleSet, coeffs, t: float) -> float:
     return sum(c / (t + poles.poles[i][0]) ** j for i, j, c in coeffs)
 
 
+def _partial_fractions_loop(poles: PoleSet) -> list[tuple[int, int, float]]:
+    """The expansion one pole set at a time in Python floats: the Taylor
+    series of each deflated product as truncated products of lists."""
+    out = []
+    for i, (alpha_i, n_i) in enumerate(poles.poles):
+        series = [1.0] + [0.0] * (n_i - 1)
+        for j, (alpha_j, n_j) in enumerate(poles.poles):
+            if j == i:
+                continue
+            d = alpha_j - alpha_i
+            fac = [math.comb(n_j + k - 1, k) * (-1.0 / d) ** k * d ** (-n_j)
+                   for k in range(n_i)]
+            prod = [0.0] * n_i
+            for a, pa in enumerate(series):
+                if pa == 0.0:
+                    continue
+                for b, fb in enumerate(fac[:n_i - a]):
+                    prod[a + b] += pa * fb
+            series = prod
+        out += [(i, j, series[n_i - j]) for j in range(1, n_i + 1)]
+    return out
+
+
 class TestIncompleteGamma:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("x", [1e-3, 0.5, 2.5, 10.0, 40.0])
@@ -32,20 +54,6 @@ class TestIncompleteGamma:
         ref, _ = quad(lambda t: t ** (n - 1) * math.exp(-t), x, math.inf,
                       epsabs=1e-300, epsrel=1e-13)
         assert upper_incomplete_gamma_int(n, x) == pytest.approx(ref, rel=1e-12)
-
-    def test_survival_matches_scipy(self):
-        for m in (1, 2, 3, 4):
-            for x in np.linspace(0.01, 12.0, 25):
-                assert gamma_survival(m, x) == pytest.approx(
-                    gammaincc(m, x), rel=1e-12)
-
-    def test_survival_at_zero_is_one(self):
-        assert gamma_survival(3, 0.0) == 1.0
-
-    @given(st.integers(1, 6), st.floats(0.01, 30.0))
-    @settings(max_examples=60, deadline=None)
-    def test_survival_decreasing_in_threshold(self, m, x):
-        assert gamma_survival(m, x) <= gamma_survival(m, x * 0.99) + 1e-15
 
 
 class TestTricomiU:
@@ -86,6 +94,18 @@ class TestTricomiU:
         assert col.shape == (2, 3)
         assert col[1, 2] == pytest.approx(tricomi_u(2.5, 1.0, 10.0), rel=1e-15)
 
+    def test_shared_grid_is_bit_identical_to_scalar_calls(self):
+        # a and z of shape (G, 1), b of shape (G, J): the (a, z) node work
+        # is shared along each row, and every value equals the scalar call
+        s = np.array([[0.5], [2.5], [4.5], [9.5]])
+        z = np.array([[0.004], [0.3], [7.0], [90.0]])
+        b = s + 1.0 - np.arange(1, 10)
+        grid = tricomi_u(s, b, z)
+        assert grid.shape == (4, 9)
+        ref = np.array([[tricomi_u(float(s[g, 0]), float(b[g, i]), float(z[g, 0]))
+                         for i in range(9)] for g in range(4)])
+        assert np.array_equal(grid, ref)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             tricomi_u(np.array([1.5, 0.0]), 0.5, 1.0)
@@ -120,6 +140,25 @@ class TestPartialFractions:
     def test_near_degenerate_raises(self):
         with pytest.raises(NearDegeneratePoles):
             partial_fractions(PoleSet(((1.0, 1), (1.0 + 1e-12, 2))))
+
+    def test_bit_identical_to_loop_expansion(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(1, 5))
+            locs = np.exp(rng.uniform(math.log(0.01), math.log(100.0), n))
+            poles = PoleSet(zip(locs, rng.integers(1, 10, n)))
+            assert partial_fractions(poles) == _partial_fractions_loop(poles)
+
+    def test_batch_rows_match_loop_expansion(self):
+        # one batch of 40 multiplicity triples on shared locations
+        rng = np.random.default_rng(4)
+        locs = (0.2, 1.7, 6.5)
+        mults = rng.integers(1, 9, (40, 3))
+        series = partial_fraction_series(locs, mults)
+        for row, ms in zip(series, mults.tolist()):
+            got = [(i, j, row[i, n - j]) for i, n in enumerate(ms)
+                   for j in range(1, n + 1)]
+            assert got == _partial_fractions_loop(PoleSet(zip(locs, ms)))
 
     def test_poleset_validation(self):
         with pytest.raises(ValueError):
