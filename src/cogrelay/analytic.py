@@ -304,7 +304,7 @@ def _chi2_table(mw: int, mz: int) -> tuple[np.ndarray, ...]:
 def _sum_terms(terms: np.ndarray):
     """Sum over the trailing term axis: compensated for a scalar theta,
     pairwise for an array of thetas."""
-    return fsum(terms) if terms.ndim == 1 else terms.sum(axis=-1)
+    return fsum(terms.tolist()) if terms.ndim == 1 else terms.sum(axis=-1)
 
 
 def _chi1(inp: SecondaryCdfInputs, theta):
@@ -486,8 +486,8 @@ def cdf_scenario_b(inputs: list[SecondaryCdfInputs], K: int, theta: float) -> fl
 class AsepResult:
     """``value`` is the ASEP and ``used_fallback`` says it came from the
     kernel quadrature.  ``cancellation_ratio`` is sum|term| / |sum term|
-    over the closed form's flattened terms, or inf when the pole
-    locations were too close to expand."""
+    over the closed form's flattened terms (sum term compensated, sum|term|
+    pairwise), or inf when the pole locations were too close to expand."""
 
     value: float
     used_fallback: bool
@@ -611,8 +611,8 @@ def asep_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> AsepResu
     except NearDegeneratePoles:
         kernel, ratio = math.nan, math.inf
     else:
-        kernel = fsum(terms)
-        ratio = fsum(np.abs(terms)) / abs(kernel) if kernel else math.inf
+        kernel = fsum(terms.tolist())
+        ratio = float(np.abs(terms).sum()) / abs(kernel) if kernel else math.inf
     used_fallback = not ratio <= CANCELLATION_LIMIT
     if used_fallback:
         value = _asep_quadrature(inputs, mod)

@@ -173,7 +173,7 @@ def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
     """Evaluate the full (grid point x threshold x relay count) lattice in
     deterministic order.  The closed forms are evaluated point by point;
     the Monte Carlo cells of all rows are then estimated together, on one
-    gain draw per trial chunk for the largest relay count among them."""
+    gain draw per trial slice for the largest relay count among them."""
     mod = mod or mpsk_constants(4)
     points = [
         _sweep_point(cfg, plan, x_db, threshold, K, mod, analytic_only, mc_only)

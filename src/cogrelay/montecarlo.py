@@ -5,8 +5,16 @@ sum of m inverse-cdf exponential draws.  Uniforms come from one
 counter-based Philox-4x64 stream per (seed, link) pair.  A trial takes
 whole 4-word Philox blocks, 4 * ceil(m / 4) words of which the first m
 are used, so trial i starts at block i * ceil(m / 4) and any partition
-of the trial range produces the same union of draws: results are
-bit-identical regardless of chunking or parallel split.
+of the trial range produces the same union of draws: the gains and the
+outage counts are bit-identical regardless of chunking or parallel split.
+
+The trial range is cut into chunks of _CHUNK = 2^20 trials, and each
+chunk into slices of at most _SLICE = 2^15 trials, which are drawn and
+scored while they fit in cache.  The SEP sums are float sums: per chunk
+they equal numpy's pairwise ``sum`` over the whole chunk bit for bit,
+because the slices are cut along numpy's own pairwise split and their
+sums are added back up that tree (``_pairwise``); the chunk totals are
+added in order.  They therefore depend on _CHUNK but not on _SLICE.
 
 Links are named as in ``link_table``: ``x, w, y, l, z, v`` in Scenario
 (a), and ``x0, w0, y0, l0, x1, ...`` (relay k carries index k at every
@@ -14,7 +22,7 @@ relay count) in Scenario (b).  The stream id of relay k's links does not
 depend on the relay count either, so the first K relays of a draw for K'
 > K relays are exactly the draw for K relays.
 
-The estimators draw each trial chunk once, for the largest relay count
+The estimators draw each trial slice once, for the largest relay count
 among their rows, and score every row on it; a Scenario (b) row of
 relay count K selects the best of relays 0..K-1.  Only the links the
 secondary SINRs read are drawn (x, w, y per relay, plus z, v in Scenario
@@ -50,7 +58,11 @@ __all__ = [
 ]
 
 DEFAULT_TRIALS = 100_000
+# A chunk fixes only the order of the float sums (numpy's pairwise
+# order over each chunk); every chunk is drawn and scored in slices of at
+# most _SLICE trials, which must stay >= 128 (see ``_pairwise``).
 _CHUNK = 1 << 20
+_SLICE = 1 << 15
 _U64 = 1 << 64
 
 
@@ -245,26 +257,48 @@ def _chunks(trials: int):
         start += n
 
 
+def _pairwise(start: int, n: int, leaf):
+    """``leaf(start, n)`` summed over trials start..start+n-1 along numpy's
+    pairwise split of a length-n array: a span longer than _SLICE is cut
+    at h = n//2 - (n//2) % 8 and its two halves' results are added with
+    ``+``.  Numpy does not split below 128 elements, so as long as
+    _SLICE >= 128 a float sum over a span, added up this way, equals
+    ``np.sum`` over the whole span bit for bit."""
+    if n <= _SLICE:
+        return leaf(start, n)
+    h = n // 2
+    h -= h % 8
+    return _pairwise(start, h, leaf) + _pairwise(start + h, n - h, leaf)
+
+
+def _tally(trials: int, leaf):
+    """``leaf`` summed over every slice of every chunk of the trial range."""
+    total = 0
+    for start, n in _chunks(trials):
+        total = total + _pairwise(start, n, leaf)
+    return total
+
+
 def _proportion(hits: int, trials: int, seed: int) -> Estimate:
     p = hits / trials
     ci = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     return Estimate(value=p, trials=trials, ci_half_width=ci, seed=seed)
 
 
-def _score(acc, draw, powers, K, scenario, theta, mod, sinr_kind, metric,
-           sep_metric):
-    # Add one row's outage hits, SEP sum and SEP sum of squares on this
-    # chunk to ``acc``; the row's temporaries die on return.
+def _score(draw, powers, K, scenario, theta, mod, sinr_kind, metric, sep_metric):
+    # One row's outage hits, SEP sum and SEP sum of squares on this slice.
+    hits = total = total_sq = 0.0
     s1 = None
     if mod is not None:
         sinr = _sinr(draw, powers, scenario, K, sinr_kind, sep_metric)
         s1 = sinr if sep_metric == "s1" else None
         sep = 0.5 * mod.a * erfc(np.sqrt(mod.b * sinr))
-        acc[1] += float(sep.sum())
-        acc[2] += float((sep * sep).sum())
+        total = sep.sum()
+        total_sq = (sep * sep).sum()
     if theta is not None:
         sinr = _sinr(draw, powers, scenario, K, sinr_kind, metric, s1)
-        acc[0] += int(np.count_nonzero(sinr < theta))
+        hits = np.count_nonzero(sinr < theta)
+    return hits, total, total_sq
 
 
 def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]],
@@ -273,7 +307,7 @@ def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]
                   sinr_kind: str = "exact", metric: str = "e2e",
                   sep_metric: str = "s1") -> list[tuple[Estimate | None, Estimate | None]]:
     """Outage and ASEP estimates of every row, all scored on one draw of
-    each trial chunk.
+    each trial slice.
 
     A row is a pair (K, powers): its relay count, at most ``scenario.K``,
     and its power profile; it reads the first K relays of ``scenario``.
@@ -290,17 +324,19 @@ def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]
     # and no relay beyond the rows' largest relay count.
     names = [name for name, _ in link_table(scenario)
              if name[0] not in "efgl" and int(name[1:] or 0) < kmax]
-    sums = [[0, 0.0, 0.0] for _ in rows]
-    for start, n in _chunks(trials):
+
+    def leaf(start, n):
+        # one (hits, SEP sum, SEP sum of squares) row per row; the hit
+        # counts stay exact in float64
         draw = draw_gains(scenario, seed, n, start, names)
-        for acc, (K, powers) in zip(sums, rows):
-            _score(acc, draw, powers, K, scenario, theta, mod, sinr_kind, metric,
-                   sep_metric)
+        return np.array([_score(draw, powers, K, scenario, theta, mod, sinr_kind,
+                                metric, sep_metric) for K, powers in rows])
+
     out = []
-    for hits, total, total_sq in sums:
+    for hits, total, total_sq in _tally(trials, leaf).tolist():
         mean = total / trials
         ci = 1.96 * math.sqrt(max(total_sq / trials - mean * mean, 0.0) / trials)
-        out.append((None if theta is None else _proportion(hits, trials, seed),
+        out.append((None if theta is None else _proportion(int(hits), trials, seed),
                     None if mod is None else Estimate(mean, trials, ci, seed)))
     return out
 
@@ -335,20 +371,19 @@ def estimate_primary_outage(inputs: PrimaryOutageInputs, trials: int = DEFAULT_T
     (only the relay interferes)."""
     if phase not in ("ma", "bc"):
         raise ValueError(f"phase must be 'ma' or 'bc', got {phase!r}")
-    hits = 0
-    for start, n in _chunks(trials):
-        e = _gamma_stream(seed, _PRIMARY_LINK_IDS["e"], inputs.e.m,
-                          inputs.e.mean_gain, start, n)
+
+    def stream(name, link, start, n):
+        return _gamma_stream(seed, _PRIMARY_LINK_IDS[name], link.m, link.mean_gain,
+                             start, n)
+
+    def leaf(start, n):
+        e = stream("e", inputs.e, start, n)
         if phase == "ma":
-            f = _gamma_stream(seed, _PRIMARY_LINK_IDS["f"], inputs.f.m,
-                              inputs.f.mean_gain, start, n)
-            g = _gamma_stream(seed, _PRIMARY_LINK_IDS["g"], inputs.g.m,
-                              inputs.g.mean_gain, start, n)
-            sinr = inputs.gamma_bar_p * e / (
-                inputs.gamma_bar_s1 * f + inputs.gamma_bar_s2 * g + 1.0)
+            interference = (inputs.gamma_bar_s1 * stream("f", inputs.f, start, n)
+                            + inputs.gamma_bar_s2 * stream("g", inputs.g, start, n))
         else:
-            lv = _gamma_stream(seed, _PRIMARY_LINK_IDS["l"], inputs.l.m,
-                               inputs.l.mean_gain, start, n)
-            sinr = inputs.gamma_bar_p * e / (inputs.gamma_bar_r * lv + 1.0)
-        hits += int(np.count_nonzero(sinr < inputs.threshold))
-    return _proportion(hits, trials, seed)
+            interference = inputs.gamma_bar_r * stream("l", inputs.l, start, n)
+        sinr = inputs.gamma_bar_p * e / (interference + 1.0)
+        return int(np.count_nonzero(sinr < inputs.threshold))
+
+    return _proportion(_tally(trials, leaf), trials, seed)

@@ -2,6 +2,7 @@
 assembly, and cross-validation against the closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,66 @@ class TestSampler:
         monkeypatch.setattr(mc, "_CHUNK", 1024)
         small = mc.estimate_outage(sc, POWERS, 2.0, trials=20_000, seed=9)
         assert ref.value == small.value
+
+
+class TestSlices:
+    """Each chunk is drawn and scored in slices cut along numpy's pairwise
+    split, so the estimates do not depend on the slice size."""
+
+    P2 = PowerProfile(gamma_bar_p=30.0, gamma_bar_s=3.0, gamma_bar_r=20.0,
+                      max_gamma_bar_s=50.0, max_gamma_bar_r=50.0)
+
+    @pytest.mark.parametrize("slice_", [1024, 4096])
+    def test_estimates_do_not_depend_on_slice(self, slice_, monkeypatch):
+        # 100,003 trials in chunks of 2^15 leave a ragged last chunk; at the
+        # default slice size every chunk is a single slice
+        monkeypatch.setattr(mc, "_CHUNK", 1 << 15)
+        cases = [
+            (scenario_a(z_gain=0.3, v_gain=0.2), [(1, POWERS), (1, self.P2)],
+             dict(mod=mpsk_constants(4))),
+            (scenario_b(K=2), [(1, POWERS), (2, POWERS), (2, self.P2)],
+             dict(mod=mpsk_constants(2), sep_metric="e2e")),
+        ]
+        for sc, rows, kw in cases:
+            ref = mc.estimate_rows(sc, rows, theta=2.0, trials=100_003, seed=21, **kw)
+            with monkeypatch.context() as m:
+                m.setattr(mc, "_SLICE", slice_)
+                sliced = mc.estimate_rows(sc, rows, theta=2.0, trials=100_003,
+                                          seed=21, **kw)
+            assert sliced == ref
+
+    def test_primary_outage_does_not_depend_on_slice(self, monkeypatch):
+        inputs = TestPrimaryEstimator.INPUTS
+        ref = [mc.estimate_primary_outage(inputs, trials=30_001, seed=22, phase=ph)
+               for ph in ("ma", "bc")]
+        monkeypatch.setattr(mc, "_SLICE", 1024)
+        assert [mc.estimate_primary_outage(inputs, trials=30_001, seed=22, phase=ph)
+                for ph in ("ma", "bc")] == ref
+
+    @pytest.mark.parametrize("slice_", [128, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16])
+    def test_span_tree_reproduces_numpy_sum(self, slice_, monkeypatch):
+        # Summands of mixed sign spanning ~20 orders of magnitude, so that a
+        # different grouping (halving at n//2, or a slice below numpy's
+        # 128-element block) changes the last bits of some of these sums.
+        monkeypatch.setattr(mc, "_SLICE", slice_)
+        rng = np.random.default_rng(23)
+        for n in (1000, 1424, 100_000, 1 << 20, 999_983, 65_537, 262_149):
+            a = rng.standard_normal(n) * np.exp(4.0 * rng.standard_normal(n))
+            total = mc._pairwise(0, n, lambda start, k: a[start:start + k].sum())
+            assert total.hex() == a.sum().hex(), n
+
+    def test_scoring_memory_is_slice_sized(self):
+        # K = 4 over 1,050,000 trials: whole-chunk scoring peaked at 143 MB
+        # traced, slices of 2^15 trials stay near 4.5 MB
+        rows = [(1, POWERS), (2, POWERS), (4, POWERS)]
+        tracemalloc.start()
+        try:
+            mc.estimate_rows(scenario_b(K=4), rows, theta=2.0, trials=1_050_000,
+                             seed=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestSinr:
