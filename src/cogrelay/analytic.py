@@ -15,12 +15,13 @@ compensated summation, so integer severities up to ~8 and SNRs up to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, exp, fsum, lgamma, log
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gamma, xlogy
 
 from .errors import Infeasible, NearDegeneratePoles, NumericalInstability
@@ -101,12 +102,7 @@ class SecondaryCdfInputs:
     def swapped(self) -> "SecondaryCdfInputs":
         """Parameter binding for the opposite direction (S2 receiving):
         x <-> w and z <-> v."""
-        return SecondaryCdfInputs(
-            x=self.w, w=self.x, y=self.y, z=self.v, v=self.z,
-            gamma_bar_p=self.gamma_bar_p,
-            gamma_bar_s=self.gamma_bar_s,
-            gamma_bar_r=self.gamma_bar_r,
-        )
+        return replace(self, x=self.w, w=self.x, z=self.v, v=self.z)
 
 
 def _log_pow(base: float, expo: float) -> float:
@@ -181,10 +177,12 @@ def relay_phase_outage(inputs: PrimaryOutageInputs) -> float:
 
 
 def _bisect_power(constraint, threshold: float, cap: float, what: str) -> float:
-    """Largest power in (0, cap] keeping ``constraint`` below ``threshold``.
+    """Largest power in [0, cap] whose ``constraint`` meets ``threshold``.
 
-    ``constraint`` must be nondecreasing in the power; this is probed at
-    three points before bisection, and a violation raises
+    Returns ``cap`` when the constraint holds there; otherwise the root of
+    ``constraint(p) = threshold``, located by Brent's method to 1e-12
+    in the power (relative above 1).  A root that does not reproduce its threshold
+    within 1e-9 (a constraint that jumps across it) raises
     NumericalInstability.
     """
     if not (0.0 <= threshold <= 1.0):
@@ -195,59 +193,39 @@ def _bisect_power(constraint, threshold: float, cap: float, what: str) -> float:
             f"{what}: outage without interference ({f0:.6g}) already exceeds "
             f"the threshold {threshold:.6g}"
         )
-    fc = constraint(cap)
-    if fc <= threshold:
+    if constraint(cap) <= threshold:
         return cap
-    probes = [constraint(cap * t) for t in (0.25, 0.5, 0.75)]
-    seq = [f0, *probes, fc]
-    if not all(a <= b + 1e-12 for a, b in zip(seq, seq[1:])):
-        raise NumericalInstability(f"{what}: constraint is not monotone in the power")
-    lo, hi = 0.0, cap
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) <= threshold:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(hi, 1.0):
-            break
-    return lo
+    try:
+        root = brentq(lambda p: constraint(p) - threshold, 0.0, cap,
+                      xtol=1e-12, rtol=1e-15)
+    except (RuntimeError, ValueError) as exc:
+        raise NumericalInstability(f"{what}: root finder failed: {exc}") from exc
+    if abs(constraint(root) - threshold) > 1e-9:
+        raise NumericalInstability(
+            f"{what}: constraint does not reach the threshold {threshold:.6g} "
+            f"continuously near power {root:.6g}")
+    return root
 
 
 def solve_secondary_source_power(inputs: PrimaryOutageInputs, threshold: float,
                                  cap: float) -> float:
-    """Invert the MA-phase outage constraint for the shared source SNR
-    (gamma_bar_S1 = gamma_bar_S2), capped at ``cap``."""
-
-    def constraint(gs: float) -> float:
-        probe = PrimaryOutageInputs(
-            e=inputs.e, f=inputs.f, g=inputs.g, l=inputs.l,
-            gamma_bar_p=inputs.gamma_bar_p,
-            gamma_bar_s1=gs, gamma_bar_s2=gs,
-            gamma_bar_r=inputs.gamma_bar_r,
-            threshold=inputs.threshold,
-        )
-        return primary_outage(probe)
-
-    return _bisect_power(constraint, threshold, cap, "secondary source power")
+    """Shared source SNR (gamma_bar_S1 = gamma_bar_S2) whose MA-phase
+    primary outage meets ``threshold``: the largest such power to 1e-12
+    relative (absolute below 1), or ``cap`` when the constraint holds
+    there."""
+    return _bisect_power(
+        lambda gs: primary_outage(replace(inputs, gamma_bar_s1=gs, gamma_bar_s2=gs)),
+        threshold, cap, "secondary source power")
 
 
 def solve_relay_power(inputs: PrimaryOutageInputs, threshold: float,
                       cap: float) -> float:
-    """Invert the BC-phase outage constraint for the relay SNR, capped."""
-
-    def constraint(gr: float) -> float:
-        probe = PrimaryOutageInputs(
-            e=inputs.e, f=inputs.f, g=inputs.g, l=inputs.l,
-            gamma_bar_p=inputs.gamma_bar_p,
-            gamma_bar_s1=inputs.gamma_bar_s1,
-            gamma_bar_s2=inputs.gamma_bar_s2,
-            gamma_bar_r=gr,
-            threshold=inputs.threshold,
-        )
-        return relay_phase_outage(probe)
-
-    return _bisect_power(constraint, threshold, cap, "relay power")
+    """Relay SNR whose BC-phase primary outage meets ``threshold``: the
+    largest such power to 1e-12 relative (absolute below 1), or ``cap``
+    when the constraint holds there."""
+    return _bisect_power(
+        lambda gr: relay_phase_outage(replace(inputs, gamma_bar_r=gr)),
+        threshold, cap, "relay power")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .analytic import (PrimaryOutageInputs, SecondaryCdfInputs, asep_scenario_a,
                        primary_outage, relay_phase_outage,
                        solve_relay_power, solve_secondary_source_power)
 from .config import RunConfig, SweepPlan, load_config
-from . import montecarlo, oracle, specfun
+from . import montecarlo, specfun
 
 __all__ = ["SweepPlan", "run_sweep", "write_csv", "run_selfcheck", "main"]
 
@@ -101,10 +101,7 @@ def _solve_powers(scenario: NetworkScenario, gp: float, cap_s: float,
     gs = solve_secondary_source_power(base, threshold, cap_s)
     gr = cap_r
     for link in scenario.relay_px:
-        probe = PrimaryOutageInputs(
-            e=scenario.pt_px, f=scenario.s1_px, g=scenario.s2_px, l=link,
-            gamma_bar_p=gp, gamma_bar_s1=gs, gamma_bar_s2=gs,
-            gamma_bar_r=1.0, threshold=gth)
+        probe = replace(base, l=link, gamma_bar_s1=gs, gamma_bar_s2=gs)
         gr = min(gr, solve_relay_power(probe, threshold, cap_r))
     return gs, gr
 
@@ -219,6 +216,8 @@ def _check(name: str, value: float, reference: float, tol: float,
 def run_selfcheck(out=None) -> int:
     """Compare every closed form against its independent quadrature
     reference at a fixed config; return the number of failures."""
+    from . import oracle
+
     out = out if out is not None else sys.stdout
     L = FadingLink
     prim = PrimaryOutageInputs(
@@ -251,10 +250,7 @@ def run_selfcheck(out=None) -> int:
                  oracle.asep_oracle(sec, mod), 1e-5, out)
 
     gs = solve_secondary_source_power(prim, 0.2, cap=100.0)
-    fixed = primary_outage(PrimaryOutageInputs(
-        e=prim.e, f=prim.f, g=prim.g, l=prim.l, gamma_bar_p=prim.gamma_bar_p,
-        gamma_bar_s1=gs, gamma_bar_s2=gs, gamma_bar_r=prim.gamma_bar_r,
-        threshold=prim.threshold))
+    fixed = primary_outage(replace(prim, gamma_bar_s1=gs, gamma_bar_s2=gs))
     ok &= _check("power solver fixed point", fixed, 0.2, 1e-9, out)
 
     poles = specfun.PoleSet(((0.5, 2), (1.7, 1), (3.2, 3)))

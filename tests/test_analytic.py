@@ -100,11 +100,30 @@ class TestPowerSolver:
         with pytest.raises(Infeasible):
             solve_secondary_source_power(PRIM, baseline / 2.0, cap=10.0)
 
-    def test_non_monotone_constraint_raises(self):
-        # the 3-point probe dips between 2.5 and 5.0
-        table = {0.0: 0.1, 2.5: 0.8, 5.0: 0.3, 7.5: 0.6, 10.0: 0.9}
-        with pytest.raises(NumericalInstability, match="not monotone"):
-            analytic._bisect_power(table.__getitem__, 0.5, 10.0, "probe power")
+    def test_discontinuous_constraint_raises(self):
+        # a step across the threshold brackets a sign change, but no power
+        # reproduces the threshold
+        def step(p):
+            return 0.1 if p < 3.0 else 0.9
+        with pytest.raises(NumericalInstability, match="continuously"):
+            analytic._bisect_power(step, 0.5, 10.0, "probe power")
+
+    @pytest.mark.parametrize("solve, thr", [
+        ("solve_secondary_source_power", 0.2),
+        ("solve_secondary_source_power", 0.4),
+        ("solve_secondary_source_power", 0.6),
+        ("solve_relay_power", 0.3),
+    ])
+    def test_evaluations_per_solve(self, solve, thr, monkeypatch):
+        # one bracketing root finder: the hand-rolled probe and bisection
+        # took 52-54 evaluations here
+        calls = []
+        for name in ("primary_outage", "relay_phase_outage"):
+            fn = getattr(analytic, name)
+            monkeypatch.setattr(analytic, name,
+                                lambda inp, fn=fn: calls.append(1) or fn(inp))
+        getattr(analytic, solve)(PRIM, thr, cap=500.0)
+        assert len(calls) <= 24
 
 
 class TestDirectionCdf:

@@ -1,6 +1,9 @@
 """Command-line runner: sweeps, CSV contract, self-check, exit codes."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -159,6 +162,17 @@ class TestSelfCheck:
         buf = io.StringIO()
         assert cli.run_selfcheck(buf) == 1
         assert "FAIL" in buf.getvalue()
+
+
+def test_import_leaves_oracles_unloaded():
+    # the quadrature oracles are only for the self-check, and
+    # scipy.integrate costs a sweep a large share of its start-up time
+    code = ("import sys, cogrelay.cli; "
+            "print('cogrelay.oracle' in sys.modules, 'scipy.integrate' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "False"]
 
 
 class TestMain:
