@@ -40,6 +40,7 @@ __all__ = [
     "cdf_scenario_a_e2e",
     "cdf_scenario_b",
     "asep_scenario_a",
+    "asep_kernel_scenario_a",
 ]
 
 # Probabilities may overshoot [0, 1] by at most this much before we call
@@ -48,11 +49,11 @@ CLAMP_TOL = 1e-12
 
 # Largest cancellation ratio sum|term| / |sum term| of the ASEP closed
 # form that is trusted.  Its roundoff error is about ratio x 1e-16, so
-# this limit keeps ~1e-10 accuracy; above it the row is evaluated by the
-# kernel quadrature instead.
+# this limit keeps ~1e-10 accuracy; above it asep_scenario_a returns
+# asep_kernel_scenario_a instead.
 CANCELLATION_LIMIT = 1e6
 
-# Double-exponential rule of the kernel quadrature: 521 nodes at
+# Double-exponential rule of asep_kernel_scenario_a: 521 nodes at
 # h = 1/16 (at h = 1/8 the kernel is off by 3e-10).
 _KERNEL_OFFSETS, _KERNEL_WEIGHTS = de_rule(1.0 / 16.0, 260)
 
@@ -118,6 +119,14 @@ def _clamp_probability(p: float, where: str) -> float:
     if p < -CLAMP_TOL or p > 1.0 + CLAMP_TOL:
         raise NumericalInstability(f"{where}: probability {p!r} outside [0,1] beyond tolerance")
     return min(1.0, max(0.0, p))
+
+
+def _asep_value(kernel: float, mod: ModulationSpec, where: str) -> float:
+    """a/2 - a sqrt(b) / (2 sqrt(pi)) * kernel, clamped to [0, a/2]."""
+    value = mod.a / 2.0 - mod.a * math.sqrt(mod.b) / (2.0 * math.sqrt(math.pi)) * kernel
+    if value < -CLAMP_TOL or value > mod.a / 2.0 + 1e-9:
+        raise NumericalInstability(f"{where}: value {value!r} outside [0, a/2]")
+    return min(mod.a / 2.0, max(0.0, value))
 
 
 # ---------------------------------------------------------------------------
@@ -462,26 +471,26 @@ def cdf_scenario_b(inputs: list[SecondaryCdfInputs], K: int, theta: float) -> fl
 
 @dataclass(frozen=True)
 class AsepResult:
-    """``value`` is the ASEP and ``used_fallback`` says it came from the
-    kernel quadrature.  ``cancellation_ratio`` is sum|term| / |sum term|
-    over the closed form's flattened terms (sum term compensated, sum|term|
-    pairwise), or inf when the pole locations were too close to expand."""
+    """``value`` is the ASEP and ``used_fallback`` says it came from
+    ``asep_kernel_scenario_a``.  ``cancellation_ratio`` is the closed form's
+    sum|term| / |sum term| over its flattened terms (sum term compensated,
+    sum|term| pairwise), or inf when the pole locations were too close to expand."""
 
     value: float
     used_fallback: bool
     cancellation_ratio: float
 
 
-def _asep_quadrature(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> float:
-    """a/2 - a*sqrt(b)/(2 sqrt(pi)) int_0^inf e^{-b g} g^{-1/2} chi1 chi2 dg,
-    the kernel average of the cdf 1 - chi1 chi2.  The integral is the
-    double-exponential rule in x = ln g, centred on the peak g = 1/(2 mu)
-    of g^{1/2} e^{-mu g}, where mu is the integrand's decay rate."""
+def asep_kernel_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> float:
+    """ASEP of source 1 in Scenario (a), the value the sweep reports: the
+    kernel average a/2 - a*sqrt(b)/(2 sqrt(pi)) int_0^inf e^{-b g} g^{-1/2} chi1 chi2 dg
+    of the direction cdf 1 - chi1 chi2, by a fixed 521-node double-exponential
+    rule in x = ln g centred on the peak g = 1/(2 mu) of g^{1/2} e^{-mu g},
+    where mu is the integrand's decay rate."""
     r = _Rates(inputs)
     g = np.exp(log(0.5 / r.kernel_rate(mod.b)) + _KERNEL_OFFSETS)
     f = np.exp(-mod.b * g) * np.sqrt(g) * _chi1(inputs, g) * _chi2(inputs, g)
-    kernel = float((_KERNEL_WEIGHTS * f).sum())
-    return mod.a / 2.0 - mod.a * math.sqrt(mod.b) / (2.0 * math.sqrt(math.pi)) * kernel
+    return _asep_value(float((_KERNEL_WEIGHTS * f).sum()), mod, "asep_kernel_scenario_a")
 
 
 class _AsepLayout(NamedTuple):
@@ -568,36 +577,30 @@ def _asep_terms(inputs: SecondaryCdfInputs, r: _Rates, alphas: np.ndarray,
 
 
 def asep_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> AsepResult:
-    """Average symbol error probability of source 1 in Scenario (a).
+    """Average symbol error probability of source 1 in Scenario (a) by the
+    paper's closed form (the sweep reports ``asep_kernel_scenario_a``).
 
-    Closed form: the cdf kernel integral is expanded term by term; each
-    term is a product of three pole powers in gamma, expanded by partial
-    fractions and integrated against gamma^{n+k-1/2} e^{-mu gamma} via
-    the Tricomi function (see ``_asep_terms``).
+    The cdf kernel integral is expanded term by term; each term is a
+    product of three pole powers in gamma, expanded by partial fractions
+    and integrated against gamma^{n+k-1/2} e^{-mu gamma} via the Tricomi
+    function (see ``_asep_terms``).
 
-    The result falls back to the kernel quadrature ``_asep_quadrature``,
-    and is flagged ``used_fallback``, in two cases: the three pole
-    locations are too close for a stable expansion (NearDegeneratePoles),
-    or the expansion's terms cancel, i.e. its cancellation ratio
-    sum|term| / |sum term| exceeds CANCELLATION_LIMIT = 1e6.
+    The result falls back to ``asep_kernel_scenario_a``, and is flagged
+    ``used_fallback``, in two cases: the three pole locations are too
+    close for a stable expansion (NearDegeneratePoles), or the expansion's
+    terms cancel, i.e. its cancellation ratio sum|term| / |sum term|
+    exceeds CANCELLATION_LIMIT = 1e6.
     """
     r = _Rates(inputs)
-    a, b = mod.a, mod.b
     alphas = np.array([r.bz / r.qw, r.bz / r.qx, r.by / r.qx])
     try:
-        terms = _asep_terms(inputs, r, alphas, r.kernel_rate(b))
+        terms = _asep_terms(inputs, r, alphas, r.kernel_rate(mod.b))
     except NearDegeneratePoles:
         kernel, ratio = math.nan, math.inf
     else:
         kernel = fsum(terms.tolist())
         ratio = float(np.abs(terms).sum()) / abs(kernel) if kernel else math.inf
     used_fallback = not ratio <= CANCELLATION_LIMIT
-    if used_fallback:
-        value = _asep_quadrature(inputs, mod)
-    else:
-        value = a / 2.0 - a * math.sqrt(b) / (2.0 * math.sqrt(math.pi)) * kernel
-
-    if value < -CLAMP_TOL or value > a / 2.0 + 1e-9:
-        raise NumericalInstability(f"asep_scenario_a: value {value!r} outside [0, a/2]")
-    return AsepResult(value=min(a / 2.0, max(0.0, value)), used_fallback=used_fallback,
-                      cancellation_ratio=ratio)
+    value = (asep_kernel_scenario_a(inputs, mod) if used_fallback
+             else _asep_value(kernel, mod, "asep_scenario_a"))
+    return AsepResult(value=value, used_fallback=used_fallback, cancellation_ratio=ratio)

@@ -4,27 +4,30 @@ the closed forms next to their Monte Carlo estimates, and emit CSV.
 The CSV contract (UTF-8, LF, header always present)::
 
     x_db,threshold,K,gamma_bar_p,gamma_bar_s,gamma_bar_r,analytic_oc,
-    mc_oc,mc_oc_ci,analytic_asep,asep_fallback,mc_asep,mc_asep_ci,error
+    mc_oc,mc_oc_ci,analytic_asep,mc_asep,mc_asep_ci,error
 
 Floats carry 17 significant digits so identical (config, seed) runs are
-byte-identical.  A zero primary outage threshold allows no secondary
-transmission, so that row reports an outage of exactly 1.  Per-point
-numerical failures are recorded in the ``error`` column and the run
-continues.
+byte-identical.  ``analytic_asep`` (Scenario (a)) is the kernel average of
+the direction cdf by the fixed DE rule of ``asep_kernel_scenario_a``.  A
+zero primary outage threshold allows no secondary transmission, so that
+row reports an outage of exactly 1.  Per-point numerical failures are
+recorded in the ``error`` column and the run continues.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .errors import CogrelayError, ConfigError, Infeasible
 from .model import (FadingLink, ModulationSpec, NetworkScenario, PowerProfile,
                     Scenario, db_to_linear, mpsk_constants, primary_threshold)
-from .analytic import (PrimaryOutageInputs, SecondaryCdfInputs, asep_scenario_a,
-                       cdf_scenario_a, cdf_scenario_a_e2e, cdf_scenario_b,
-                       primary_outage, relay_phase_outage,
+from .analytic import (PrimaryOutageInputs, SecondaryCdfInputs, asep_kernel_scenario_a,
+                       asep_scenario_a, cdf_scenario_a, cdf_scenario_a_e2e,
+                       cdf_scenario_b, primary_outage, relay_phase_outage,
                        solve_relay_power, solve_secondary_source_power)
 from .config import RunConfig, SweepPlan, load_config
 from . import montecarlo, specfun
@@ -32,8 +35,7 @@ from . import montecarlo, specfun
 __all__ = ["SweepPlan", "run_sweep", "write_csv", "run_selfcheck", "main"]
 
 CSV_HEADER = ("x_db,threshold,K,gamma_bar_p,gamma_bar_s,gamma_bar_r,"
-              "analytic_oc,mc_oc,mc_oc_ci,analytic_asep,asep_fallback,"
-              "mc_asep,mc_asep_ci,error")
+              "analytic_oc,mc_oc,mc_oc_ci,analytic_asep,mc_asep,mc_asep_ci,error")
 
 _DUMMY = FadingLink(1, 1.0)
 
@@ -41,8 +43,6 @@ _DUMMY = FadingLink(1, 1.0)
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
     if isinstance(x, int):
         return str(x)
     return f"{x:.17g}"
@@ -60,7 +60,6 @@ class SweepRow:
     mc_oc: float | None
     mc_oc_ci: float | None
     analytic_asep: float | None
-    asep_fallback: bool | None
     mc_asep: float | None
     mc_asep_ci: float | None
     error: str = ""
@@ -69,7 +68,7 @@ class SweepRow:
         cells = [self.x_db, self.threshold, self.K, self.gamma_bar_p,
                  self.gamma_bar_s, self.gamma_bar_r, self.analytic_oc,
                  self.mc_oc, self.mc_oc_ci, self.analytic_asep,
-                 self.asep_fallback, self.mc_asep, self.mc_asep_ci]
+                 self.mc_asep, self.mc_asep_ci]
         return ",".join(_fmt(c) for c in cells) + "," + self.error
 
 
@@ -89,38 +88,41 @@ def _secondary_inputs(scenario: NetworkScenario, gp: float, gs: float,
 
 
 def _solve_powers(scenario: NetworkScenario, gp: float, cap_s: float,
-                  cap_r: float, threshold: float) -> tuple[float, float]:
-    """Largest source and relay SNRs meeting the primary outage constraint
-    in both phases; the relay power honors every relay's interference
-    link."""
+                  cap_r: float, threshold: float) -> tuple[float, list[float]]:
+    """Largest source SNR meeting the primary outage constraint in the MA
+    phase (0 if it admits no transmission) and, in relay order up to the
+    first that admits none, each relay's largest SNR meeting it in the BC phase."""
     gth = primary_threshold(scenario)
     base = PrimaryOutageInputs(
         e=scenario.pt_px, f=scenario.s1_px, g=scenario.s2_px,
         l=scenario.relay_px[0], gamma_bar_p=gp,
         gamma_bar_s1=1.0, gamma_bar_s2=1.0, gamma_bar_r=1.0, threshold=gth)
-    gs = solve_secondary_source_power(base, threshold, cap_s)
-    gr = cap_r
-    for link in scenario.relay_px:
-        probe = replace(base, l=link, gamma_bar_s1=gs, gamma_bar_s2=gs)
-        gr = min(gr, solve_relay_power(probe, threshold, cap_r))
-    return gs, gr
+    gs, relay_powers = 0.0, []
+    if threshold > 0.0:   # a zero threshold forbids transmission outright
+        with contextlib.suppress(Infeasible):   # the powers solved before it stand
+            gs = solve_secondary_source_power(base, threshold, cap_s)
+            for link in scenario.relay_px:
+                probe = replace(base, l=link, gamma_bar_s1=gs, gamma_bar_s2=gs)
+                relay_powers.append(solve_relay_power(probe, threshold, cap_r))
+    return gs, relay_powers
 
 
-def _silent_row(x_db, threshold, K, gp, mod: ModulationSpec,
-                error: str = "") -> SweepRow:
-    """No admissible secondary power: outage is exactly one and the SEP
-    saturates at its zero-SINR kernel value."""
+def _silent_row(x_db, threshold, K, gp, mod: ModulationSpec) -> SweepRow:
+    """No admissible secondary power (``infeasible`` unless the threshold is
+    zero): outage is exactly one and the SEP saturates at its zero-SINR value."""
     return SweepRow(x_db=x_db, threshold=threshold, K=K, gamma_bar_p=gp,
                     gamma_bar_s=0.0, gamma_bar_r=0.0,
                     analytic_oc=1.0, mc_oc=1.0, mc_oc_ci=0.0,
-                    analytic_asep=mod.a / 2.0, asep_fallback=False,
-                    mc_asep=mod.a / 2.0, mc_asep_ci=0.0, error=error)
+                    analytic_asep=mod.a / 2.0, mc_asep=mod.a / 2.0,
+                    mc_asep_ci=0.0, error="infeasible" if threshold > 0.0 else "")
 
 
 def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float,
-                 K: int, mod: ModulationSpec, analytic_only: bool,
-                 mc_only: bool) -> tuple[SweepRow, PowerProfile | None]:
-    """The row's closed-form cells, plus its powers if Monte Carlo is due."""
+                 mod: ModulationSpec, analytic_only: bool,
+                 mc_only: bool) -> Iterator[tuple[SweepRow, PowerProfile | None]]:
+    """The rows of one (grid point, threshold), one per relay count, with
+    their closed-form cells and their powers if Monte Carlo is due.  Each
+    power is solved once: relay k's is the same for every K >= k."""
     gp = db_to_linear(x_db if plan.x_axis == "primary_snr_db"
                       else cfg.primary_snr_db)
     if plan.x_axis == "secondary_snr_db":
@@ -128,40 +130,35 @@ def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float,
     else:
         cap_s = db_to_linear(cfg.max_source_snr_db)
         cap_r = db_to_linear(cfg.max_relay_snr_db)
-    scenario = cfg.network_scenario(K)
 
-    if threshold == 0.0:
-        return _silent_row(x_db, threshold, K, gp, mod), None
-    try:
-        gs, gr = _solve_powers(scenario, gp, cap_s, cap_r, threshold)
-    except Infeasible:
-        return _silent_row(x_db, threshold, K, gp, mod, error="infeasible"), None
-    if gs <= 0.0 or gr <= 0.0:
-        return _silent_row(x_db, threshold, K, gp, mod, error="infeasible"), None
-
-    theta = scenario.secondary_threshold
-    inputs = _secondary_inputs(scenario, gp, gs, gr)
-    analytic_oc = analytic_asep = asep_fallback = powers = None
-    error = ""
-    try:
-        if not mc_only:
-            if scenario.scenario is Scenario.A:
-                analytic_oc = cdf_scenario_a_e2e(inputs[0], theta)
-                res = asep_scenario_a(inputs[0], mod)
-                analytic_asep, asep_fallback = res.value, res.used_fallback
-            else:
-                analytic_oc = cdf_scenario_b(inputs, K, theta)
-        if not analytic_only:
-            powers = PowerProfile(gamma_bar_p=gp, gamma_bar_s=gs, gamma_bar_r=gr,
-                                  max_gamma_bar_s=cap_s, max_gamma_bar_r=cap_r)
-    except CogrelayError as exc:
-        error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-
-    return SweepRow(x_db=x_db, threshold=threshold, K=K, gamma_bar_p=gp,
-                    gamma_bar_s=gs, gamma_bar_r=gr, analytic_oc=analytic_oc,
-                    mc_oc=None, mc_oc_ci=None, analytic_asep=analytic_asep,
-                    asep_fallback=asep_fallback, mc_asep=None, mc_asep_ci=None,
-                    error=error), powers
+    gs, relay_powers = _solve_powers(cfg.network_scenario(max(plan.relay_counts)),
+                                     gp, cap_s, cap_r, threshold)
+    for K in plan.relay_counts:
+        gr = min(cap_r, *relay_powers[:K]) if len(relay_powers) >= K else 0.0
+        if gs <= 0.0 or gr <= 0.0:
+            yield _silent_row(x_db, threshold, K, gp, mod), None
+            continue
+        scenario = cfg.network_scenario(K)
+        theta = scenario.secondary_threshold
+        inputs = _secondary_inputs(scenario, gp, gs, gr)
+        analytic_oc = analytic_asep = powers = None
+        error = ""
+        try:
+            if not mc_only:
+                if scenario.scenario is Scenario.A:
+                    analytic_oc = cdf_scenario_a_e2e(inputs[0], theta)
+                    analytic_asep = asep_kernel_scenario_a(inputs[0], mod)
+                else:
+                    analytic_oc = cdf_scenario_b(inputs, K, theta)
+            if not analytic_only:
+                powers = PowerProfile(gamma_bar_p=gp, gamma_bar_s=gs, gamma_bar_r=gr,
+                                      max_gamma_bar_s=cap_s, max_gamma_bar_r=cap_r)
+        except CogrelayError as exc:
+            error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+        yield SweepRow(x_db=x_db, threshold=threshold, K=K, gamma_bar_p=gp,
+                       gamma_bar_s=gs, gamma_bar_r=gr, analytic_oc=analytic_oc,
+                       mc_oc=None, mc_oc_ci=None, analytic_asep=analytic_asep,
+                       mc_asep=None, mc_asep_ci=None, error=error), powers
 
 
 def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
@@ -172,12 +169,9 @@ def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
     the Monte Carlo cells of all rows are then estimated together, on one
     gain draw per trial slice for the largest relay count among them."""
     mod = mod or mpsk_constants(4)
-    points = [
-        _sweep_point(cfg, plan, x_db, threshold, K, mod, analytic_only, mc_only)
-        for x_db in plan.grid_db()
-        for threshold in plan.outage_thresholds
-        for K in plan.relay_counts
-    ]
+    points = [point for x_db in plan.grid_db() for threshold in plan.outage_thresholds
+              for point in _sweep_point(cfg, plan, x_db, threshold, mod,
+                                        analytic_only, mc_only)]
     rows = [row for row, _ in points]
     pending = [i for i, (_, powers) in enumerate(points) if powers is not None]
     scenario = cfg.network_scenario(max(plan.relay_counts))
@@ -245,9 +239,11 @@ def run_selfcheck(out=None) -> int:
                  cdf_scenario_b(pair, 2, 1.5),
                  oracle.selection_oracle(pair, 2, 1.5), 1e-5, out)
     mod = mpsk_constants(4)
-    ok &= _check("symbol error probability vs kernel quadrature",
-                 asep_scenario_a(sec, mod).value,
-                 oracle.asep_oracle(sec, mod), 1e-5, out)
+    asep_ref = oracle.asep_oracle(sec, mod)
+    for how, value in (("closed form", asep_scenario_a(sec, mod).value),
+                       ("DE kernel rule", asep_kernel_scenario_a(sec, mod))):
+        ok &= _check(f"symbol error probability ({how}) vs kernel quadrature",
+                     value, asep_ref, 1e-5, out)
 
     gs = solve_secondary_source_power(prim, 0.2, cap=100.0)
     fixed = primary_outage(replace(prim, gamma_bar_s1=gs, gamma_bar_s2=gs))

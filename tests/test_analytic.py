@@ -11,8 +11,8 @@ from cogrelay.config import parse_config
 from cogrelay.errors import Infeasible, NumericalInstability
 from cogrelay.model import FadingLink as L, ModulationSpec, mpsk_constants
 from cogrelay.analytic import (PrimaryOutageInputs, SecondaryCdfInputs,
-                               asep_scenario_a, cdf_scenario_a,
-                               cdf_scenario_a_e2e, cdf_scenario_b,
+                               asep_kernel_scenario_a, asep_scenario_a,
+                               cdf_scenario_a, cdf_scenario_a_e2e, cdf_scenario_b,
                                primary_outage,
                                relay_phase_outage, solve_relay_power,
                                solve_secondary_source_power)
@@ -341,10 +341,12 @@ class TestAsepCancellation:
         assert len(rows) >= 40
         fallbacks = 0
         for row, inp in rows:
+            assert row.analytic_asep == asep_kernel_scenario_a(inp, self.MOD)
             res = asep_scenario_a(inp, self.MOD)
-            assert res.value == row.analytic_asep
-            assert res.used_fallback == row.asep_fallback
             assert res.used_fallback == (res.cancellation_ratio > analytic.CANCELLATION_LIMIT)
+            if not res.used_fallback:
+                # the paper's closed form agrees with the value the sweep reports
+                assert res.value == pytest.approx(row.analytic_asep, rel=1e-10, abs=0.0)
             fallbacks += res.used_fallback
             assert abs(res.value - oracle.asep_oracle(inp, self.MOD)) <= 1e-8
         assert 0 < fallbacks < len(rows)
@@ -352,7 +354,9 @@ class TestAsepCancellation:
     def test_cancelling_rows_fall_back(self):
         rows = _high_m_rows("top")
         assert len(rows) == 15
-        assert all(row.asep_fallback and row.error == "" for row, _ in rows)
+        for row, inp in rows:
+            assert row.error == ""
+            assert asep_scenario_a(inp, self.MOD).used_fallback
 
     def test_kernel_quadrature_matches_tight_oracle(self):
         tight = oracle.QuadratureSpec(1e-12, 400)
@@ -360,7 +364,7 @@ class TestAsepCancellation:
                     if r.x_db == 40.0 and r.threshold == 0.01)
         for inp in (SEC, _sec(x=L(2, 1.0), w=L(2, 1.0)), high):
             ref = oracle.asep_oracle(inp, self.MOD, tight)
-            assert analytic._asep_quadrature(inp, self.MOD) == pytest.approx(ref, rel=1e-12)
+            assert asep_kernel_scenario_a(inp, self.MOD) == pytest.approx(ref, rel=1e-12)
 
 
 def _survival_side_loop(inp, theta):

@@ -1,5 +1,6 @@
 """Command-line runner: sweeps, CSV contract, self-check, exit codes."""
 
+import collections
 import io
 import os
 import subprocess
@@ -7,9 +8,10 @@ import sys
 
 import pytest
 
-from cogrelay import cli, montecarlo
+from cogrelay import analytic, cli, montecarlo
 from cogrelay.config import parse_config
-from cogrelay.model import PowerProfile, Scenario, mpsk_constants
+from cogrelay.model import (PowerProfile, Scenario, db_to_linear, mpsk_constants,
+                            primary_threshold)
 from tests.test_config import BASE
 
 SMALL = BASE.replace("stop_db = 20.0", "stop_db = 10.0") \
@@ -112,6 +114,50 @@ class TestRunSweep:
             by_x.setdefault(r.x_db, {})[r.K] = r.analytic_oc
         for vals in by_x.values():
             assert vals[1] >= vals[2] >= vals[3]
+
+    def test_powers_solved_once_per_point(self, monkeypatch):
+        # the source power does not depend on K and relay k's power is the
+        # same for every K >= k: one source solve per (grid point,
+        # threshold), one relay solve per relay, none at a zero threshold
+        text = SMALL_B.replace("relays = 3", "relays = 4") \
+                      .replace("start_db = 0.0", "start_db = 10.0") \
+                      .replace("stop_db = 10.0", "stop_db = 20.0") \
+                      .replace("outage_thresholds = 0.3\nrelay_counts = 1, 2, 3",
+                               "outage_thresholds = 0.0, 0.3\nrelay_counts = 1, 2, 4") \
+                      .replace("[sweep]", "[links.relay_px.2]\nm = 1\nmean_gain = 1.6\n\n"
+                                          "[links.relay_px.4]\nm = 2\nmean_gain = 3.0\n\n"
+                                          "[sweep]")
+        counts = collections.Counter()
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve_secondary_source_power", "solve_relay_power"):
+            monkeypatch.setattr(cli, name, counted(name))
+        cfg = parse_config(text)
+        rows = cli.run_sweep(cfg.sweeps["sweep"], cfg, analytic_only=True)
+        assert counts == {"solve_secondary_source_power": 2, "solve_relay_power": 8}
+        assert len(rows) == 2 * 2 * 3 and all(r.error == "" for r in rows)
+
+        # row K's relay power is the smallest standalone solve of relays 1..K
+        sc = cfg.network_scenario(4)
+        cap_r = db_to_linear(cfg.max_relay_snr_db)
+        for r in rows:
+            if r.threshold == 0.0:
+                assert r.gamma_bar_s == r.gamma_bar_r == 0.0
+                continue
+            solves = [analytic.solve_relay_power(analytic.PrimaryOutageInputs(
+                e=sc.pt_px, f=sc.s1_px, g=sc.s2_px, l=link, gamma_bar_p=r.gamma_bar_p,
+                gamma_bar_s1=r.gamma_bar_s, gamma_bar_s2=r.gamma_bar_s, gamma_bar_r=1.0,
+                threshold=primary_threshold(sc)), r.threshold, cap_r)
+                for link in sc.relay_px]
+            assert r.gamma_bar_r == min(cap_r, *solves[:r.K])
+            assert len(set(solves)) > 1
 
     @pytest.mark.parametrize("text", [
         SMALL.replace("outage_thresholds = 0.0, 0.1", "outage_thresholds = 0.1, 0.3"),

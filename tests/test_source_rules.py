@@ -3,12 +3,13 @@
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
 
 import cogrelay
-from cogrelay import analytic
+from cogrelay import analytic, cli
 
 SOURCES = sorted(Path(cogrelay.__file__).parent.glob("*.py"))
 
@@ -68,3 +69,14 @@ def test_cached_tables_are_read_only():
         arrays = list(_arrays(fn(*shapes)))
         assert arrays, f"{name} returned no arrays"
         assert not any(a.flags.writeable for a in arrays), f"{name} returned a writable array"
+
+
+def test_documented_csv_header_matches_the_sweep():
+    # the README's CSV block and the cli docstring state the CSV contract;
+    # with line breaks removed, both must be the header the sweep writes
+    readme = (Path(cogrelay.__file__).parents[2] / "README.md").read_text()
+    blocks = [re.search(r"```\n(x_db,.*?)```", readme, re.S),
+              re.search(r"::\n\n(\s+x_db,.*?)\n\n", cli.__doc__, re.S)]
+    assert all(blocks)
+    for block in blocks:
+        assert "".join(line.strip() for line in block[1].splitlines()) == cli.CSV_HEADER
