@@ -7,9 +7,10 @@ contain transcription slips, so every function here is assembled
 directly from the underlying expectation integrals; the quadrature
 oracles in :mod:`cogrelay.oracle` and the Monte Carlo engine arbitrate.
 
-Term products are put together in the log domain and accumulated with
-compensated summation, so integer severities up to ~8 and SNRs up to
-~40 dB stay well inside double range.
+Term products are put together in the log domain, so integer severities
+up to ~8 and SNRs up to ~40 dB stay well inside double range.  Sums at a
+scalar theta are compensated (``math.fsum``); sums over an array of
+thetas and the double-exponential kernel rule are numpy's pairwise sums.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, exp, fsum, lgamma, log
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -258,9 +258,9 @@ class _Rates:
         return b + self.qx * (self.beta + 1.0) + self.qw
 
 
-def _frozen(*columns, dtype=float) -> tuple[np.ndarray, ...]:
-    """Read-only arrays of ``columns``, safe to share from a cache."""
-    out = tuple(np.array(c, dtype=dtype) for c in columns)
+def _frozen(*columns) -> tuple[np.ndarray, ...]:
+    """Read-only float arrays of ``columns``, safe to share from a cache."""
+    out = tuple(np.array(c, dtype=float) for c in columns)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -473,7 +473,7 @@ def cdf_scenario_b(inputs: list[SecondaryCdfInputs], K: int, theta: float) -> fl
 class AsepResult:
     """``value`` is the ASEP and ``used_fallback`` says it came from
     ``asep_kernel_scenario_a``.  ``cancellation_ratio`` is the closed form's
-    sum|term| / |sum term| over its flattened terms (sum term compensated,
+    sum|term| / |sum term| over its terms (sum term compensated,
     sum|term| pairwise), or inf when the pole locations were too close to expand."""
 
     value: float
@@ -493,87 +493,47 @@ def asep_kernel_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> f
     return _asep_value(float((_KERNEL_WEIGHTS * f).sum()), mod, "asep_kernel_scenario_a")
 
 
-class _AsepLayout(NamedTuple):
-    """What ``_asep_terms`` needs beyond the link rates, per link-shape
-    tuple (``_asep_layout``); every array is read-only."""
-
-    member: np.ndarray      # group of each chi1 x chi2 term pair (raveled)
-    mults: np.ndarray       # (T, 3) pole multiplicities of the T groups' triples
-    group: np.ndarray       # group of each flattened term
-    coef_idx: np.ndarray    # index of its coefficient in the raveled (T, 3, K) series
-    pole: np.ndarray        # its pole
-    psi_idx: np.ndarray     # index of its Psi in the raveled (G, J) grid
-    psi_pole: np.ndarray    # (G, 1) pole of the distinct (pole, s) pairs
-    gamma_s: np.ndarray     # Gamma(s) of each flattened term
-    expo: np.ndarray        # its s - j
-    psi_s: np.ndarray       # (G, 1) s of the distinct (pole, s) pairs
-    psi_j: np.ndarray       # (J,) orders j = 1..J
-
-
-@lru_cache(maxsize=64)
-def _asep_layout(mx: int, mw: int, my: int, mz: int) -> _AsepLayout:
-    """Group codes of the chi1 x chi2 term pairs, the partial-fraction
-    term index (triple, pole, j), Gamma(s), the exponents s - j and the
-    distinct Psi keys of the ASEP expansion; see ``_asep_terms``."""
-    n, i1, i2, _ = _chi1_table(mx, my, mz)
-    k, k1, _ = _chi2_table(mw, mz)
-    n, i1, i2, k, k1 = (c.astype(np.int64) for c in (n, i1, i2, k, k1))
-    # integer code of a pair's group, ordered by (k1, i2, i1, n + k)
-    nk = mx + mw
-    code = ((k1 * mx + i2[:, None]) * mx + i1[:, None]) * nk + (n[:, None] + k)
-    groups, member = np.unique(code, return_inverse=True)
-    mult_codes, triple = np.unique(groups // nk, return_inverse=True)
-    ki, ii1 = np.divmod(mult_codes, mx)
-    kk1, ii2 = np.divmod(ki, mx)
-    mults = np.stack([mz + kk1, mz + ii2, my + ii1], axis=1)
-    # each group's terms in the order (pole, j = 1..multiplicity)
-    terms = [(g, p, j) for g, t in enumerate(triple.tolist())
-             for p, m in enumerate(mults[t].tolist()) for j in range(1, m + 1)]
-    group, pole, j = (np.array(c, dtype=np.int64) for c in zip(*terms))
-    order = int(mults.max())
-    coef_idx = (triple[group] * 3 + pole) * order + mults[triple[group], pole] - j
-    sidx = groups[group] % nk
-    s = sidx + 0.5
-    keys, psi_row = np.unique(pole * nk + sidx, return_inverse=True)
-    jmax = int(j.max())
-    psi_idx = psi_row * jmax + j - 1
-    return _AsepLayout(
-        *_frozen(member.ravel(), mults, group, coef_idx, pole, psi_idx,
-                 (keys // nk)[:, None], dtype=np.int64),
-        *_frozen(gamma(s), s - j, (keys % nk + 0.5)[:, None], np.arange(1, jmax + 1)))
-
-
 def _asep_terms(inputs: SecondaryCdfInputs, r: _Rates, alphas: np.ndarray,
                 mu: float) -> np.ndarray:
-    """Flattened products W Gamma(s) A alpha^{s-j} Psi(s, s+1-j, mu alpha)
-    whose sum is int_0^inf e^{-b g} g^{-1/2} chi1(g) chi2(g) dg.
+    """Products W Gamma(s) A alpha^{s-j} Psi(s, s+1-j, mu alpha) whose sum
+    is int_0^inf e^{-b g} g^{-1/2} chi1(g) chi2(g) dg.
 
     Each chi1 x chi2 term pair (n, i1, i2) x (k, k1) is g^{n+k} e^{-mu g}
-    over three pole powers (g + alpha)^{-mult}.  The pairs are grouped by
-    their multiplicities (mz+k1, mz+i2, my+i1) and s = n+k+1/2, W being
-    the summed weight of a group.  Every pole product is expanded by
-    partial fractions (coefficients A).
-
-    Everything that depends on the link shapes only is cached per
-    (mx, mw, my, mz) in ``_asep_layout``: the group of each pair, the
-    multiplicity triples, the term index (group, pole, j), Gamma(s), the
-    exponents s - j and the distinct (pole, s) pairs of Psi.  A call
-    computes the weights, one batched partial-fraction expansion of all
-    triples, one ``tricomi_u`` call on the (pole, s) x j grid (a and z
-    of shape (G, 1), b of shape (G, J)) and the products.
+    over three pole powers (g + alpha)^{-mult} with multiplicities
+    (mz+k1, mz+i2, my+i1).  The pairs are summed into group weights
+    W[k1, i2, i1, n+k] (s = n+k+1/2), every multiplicity triple is
+    expanded by partial fractions (coefficients A of the powers j) in one
+    batched call, and Psi is one ``tricomi_u`` call on the (s, pole, j)
+    grid.  The products are formed on the dense (k1, i2, i1, s, pole, j)
+    grid; the terms that exist (the group has pairs and j is at most the
+    pole's multiplicity) are returned in that C order.
     """
     mx, mw, my, mz = inputs.x.m, inputs.w.m, inputs.y.m, inputs.z.m
-    lay = _asep_layout(mx, mw, my, mz)
     n, i1, i2, c1 = _chi1_table(mx, my, mz)
     k, k1, c2 = _chi2_table(mw, mz)
     ln_n = (c1 + (n - i1 - i2) * log(r.beta + 1.0)
             + (n - my - i1 - mz - i2) * log(r.qx) + my * log(r.by) + mz * log(r.bz))
     ln_k = c2 + (k - mz - k1) * log(r.qw) + mz * log(r.bz)
-    weight = np.bincount(lay.member, weights=np.exp(ln_n[:, None] + ln_k).ravel())
-    coef = partial_fraction_series(alphas, lay.mults).ravel()[lay.coef_idx]
-    psi = tricomi_u(lay.psi_s, lay.psi_s + 1.0 - lay.psi_j, mu * alphas[lay.psi_pole])
-    return (weight[lay.group] * lay.gamma_s * coef * alphas[lay.pole] ** lay.expo
-            * psi.ravel()[lay.psi_idx])
+    group = (k1.astype(int), i2.astype(int)[:, None], i1.astype(int)[:, None],
+             (n[:, None] + k).astype(int))
+    # np.add.at adds a group's pairs in (chi1 term, chi2 term) order, so
+    # every weight is the same float sum as a pair-by-pair loop
+    weight = np.zeros((mw, mx, mx, mx + mw - 1))
+    np.add.at(weight, group, np.exp(ln_n[:, None] + ln_k))
+    has_pairs = np.zeros(weight.shape, dtype=bool)
+    has_pairs[group] = True
+    mults = np.moveaxis(np.indices((mw, mx, mx)), 0, -1) + (mz, mz, my)
+    series = partial_fraction_series(alphas, mults.reshape(-1, 3))
+    j = np.arange(1, series.shape[-1] + 1)
+    # A[..., pole, j] = series[..., pole, mult - j]; orders j above a pole's
+    # multiplicity read a placeholder and are masked out below
+    coef = np.take_along_axis(series.reshape(*mults.shape, -1),
+                              np.maximum(mults[..., None] - j, 0), axis=-1)
+    s = (np.arange(mx + mw - 1) + 0.5)[:, None, None]
+    psi = tricomi_u(s, s + 1.0 - j, mu * alphas[:, None])
+    terms = (weight[..., None, None] * gamma(s) * coef[:, :, :, None]
+             * alphas[:, None] ** (s - j) * psi)
+    return terms[has_pairs[..., None, None] & (j <= mults[:, :, :, None, :, None])]
 
 
 def asep_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> AsepResult:

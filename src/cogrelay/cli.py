@@ -10,8 +10,11 @@ Floats carry 17 significant digits so identical (config, seed) runs are
 byte-identical.  ``analytic_asep`` (Scenario (a)) is the kernel average of
 the direction cdf by the fixed DE rule of ``asep_kernel_scenario_a``.  A
 zero primary outage threshold allows no secondary transmission, so that
-row reports an outage of exactly 1.  Per-point numerical failures are
-recorded in the ``error`` column and the run continues.
+row reports an outage of exactly 1; so does a row whose constraint admits
+no power (``infeasible``).  Such a silent row fills exactly the cells a
+transmitting row of the same scenario and mode fills.  Per-point
+numerical failures are recorded in the ``error`` column and the run
+continues.
 """
 
 from __future__ import annotations
@@ -107,14 +110,21 @@ def _solve_powers(scenario: NetworkScenario, gp: float, cap_s: float,
     return gs, relay_powers
 
 
-def _silent_row(x_db, threshold, K, gp, mod: ModulationSpec) -> SweepRow:
+def _silent_row(x_db, threshold, K, gp, mod: ModulationSpec, with_asep: bool,
+                analytic: bool, mc: bool) -> SweepRow:
     """No admissible secondary power (``infeasible`` unless the threshold is
-    zero): outage is exactly one and the SEP saturates at its zero-SINR value."""
+    zero): outage is exactly one and the SEP saturates at its zero-SINR value.
+    Only the cells a transmitting row of the same scenario (ASEP or not)
+    and mode (``analytic``, ``mc`` or both) fills are filled."""
+    sep = mod.a / 2.0 if with_asep else None
     return SweepRow(x_db=x_db, threshold=threshold, K=K, gamma_bar_p=gp,
                     gamma_bar_s=0.0, gamma_bar_r=0.0,
-                    analytic_oc=1.0, mc_oc=1.0, mc_oc_ci=0.0,
-                    analytic_asep=mod.a / 2.0, mc_asep=mod.a / 2.0,
-                    mc_asep_ci=0.0, error="infeasible" if threshold > 0.0 else "")
+                    analytic_oc=1.0 if analytic else None,
+                    mc_oc=1.0 if mc else None, mc_oc_ci=0.0 if mc else None,
+                    analytic_asep=sep if analytic else None,
+                    mc_asep=sep if mc else None,
+                    mc_asep_ci=0.0 if mc and with_asep else None,
+                    error="infeasible" if threshold > 0.0 else "")
 
 
 def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float,
@@ -131,12 +141,13 @@ def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float,
         cap_s = db_to_linear(cfg.max_source_snr_db)
         cap_r = db_to_linear(cfg.max_relay_snr_db)
 
-    gs, relay_powers = _solve_powers(cfg.network_scenario(max(plan.relay_counts)),
-                                     gp, cap_s, cap_r, threshold)
+    top = cfg.network_scenario(max(plan.relay_counts))
+    gs, relay_powers = _solve_powers(top, gp, cap_s, cap_r, threshold)
     for K in plan.relay_counts:
         gr = min(cap_r, *relay_powers[:K]) if len(relay_powers) >= K else 0.0
         if gs <= 0.0 or gr <= 0.0:
-            yield _silent_row(x_db, threshold, K, gp, mod), None
+            yield _silent_row(x_db, threshold, K, gp, mod, top.scenario is Scenario.A,
+                              analytic=not mc_only, mc=not analytic_only), None
             continue
         scenario = cfg.network_scenario(K)
         theta = scenario.secondary_threshold

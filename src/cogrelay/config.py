@@ -192,7 +192,7 @@ def _collect(text: str) -> dict[str, tuple[int, dict[str, tuple[int, str]]]]:
     return sections
 
 
-def _typed(section: str, keys: dict, schema: dict, header_line: int) -> dict:
+def _typed(section: str, keys: dict, schema: dict) -> dict:
     out = {}
     for key, (lineno, raw) in keys.items():
         if key not in schema:
@@ -219,11 +219,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing required section [{required}]")
 
     hline, keys = sections["primary"]
-    primary = _typed("primary", keys, _PRIMARY_KEYS, hline)
+    primary = _typed("primary", keys, _PRIMARY_KEYS)
     _require("primary", primary, ("rate", "snr_db"), hline)
 
     hline, keys = sections["secondary"]
-    secondary = _typed("secondary", keys, _SECONDARY_KEYS, hline)
+    secondary = _typed("secondary", keys, _SECONDARY_KEYS)
     _require("secondary", secondary,
              ("scenario", "threshold_db", "max_source_snr_db", "max_relay_snr_db"),
              hline)
@@ -255,7 +255,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"link {name!r} has no per-relay variants", hline)
             if idx is not None and not (1 <= idx <= relays):
                 raise ConfigError(f"relay index {idx} outside 1..{relays}", hline)
-            values = _typed(section, keys, _LINK_KEYS, hline)
+            values = _typed(section, keys, _LINK_KEYS)
             _require(section, values, ("m", "mean_gain"), hline)
             try:
                 link = FadingLink(values["m"], values["mean_gain"])
@@ -267,7 +267,7 @@ def parse_config(text: str) -> RunConfig:
                 link_overrides[(name, idx)] = link
         elif parts[0] == "sweep" and len(parts) <= 2:
             name = parts[1] if len(parts) == 2 else "sweep"
-            values = _typed(section, keys, _SWEEP_KEYS, hline)
+            values = _typed(section, keys, _SWEEP_KEYS)
             _require(section, values,
                      ("axis", "start_db", "stop_db", "step_db", "outage_thresholds"),
                      hline)
@@ -312,7 +312,10 @@ def parse_config(text: str) -> RunConfig:
         link_overrides=link_overrides,
         sweeps=sweeps,
     )
-    cfg.network_scenario()  # surface model-level validation errors now
+    try:
+        cfg.network_scenario()  # surface model-level validation errors now
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -322,7 +325,8 @@ def load_config(path: str) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Render a RunConfig back to config text; parse_config round-trips it."""
+    """Render a RunConfig back to config text; parse_config round-trips it.
+    Public API for writing configs from code; the CLI does not call it."""
     out = []
     out.append("[primary]")
     out.append(f"rate = {cfg.primary_rate!r}")

@@ -220,7 +220,9 @@ def _bounded_pair_min_b(draw, powers: PowerProfile, k: int):
 def e2e_sinr(draw, powers: PowerProfile, scenario: NetworkScenario,
              sinr_kind: str = "bounded"):
     """End-to-end SINR per trial: Scenario (a) is the min over the two
-    directions, Scenario (b) the best-relay max over per-relay minima."""
+    directions, Scenario (b) the best-relay max over per-relay minima.
+    Public API for scoring a draw outside the estimators; the package
+    itself does not call it."""
     return _sinr(draw, powers, scenario, scenario.K, sinr_kind, "e2e")
 
 
@@ -345,7 +347,9 @@ def estimate_outage(scenario: NetworkScenario, powers: PowerProfile,
                     theta: float, trials: int = DEFAULT_TRIALS,
                     seed: int = 0, sinr_kind: str = "bounded",
                     metric: str = "e2e") -> Estimate:
-    """Fraction of trials whose SINR falls below ``theta``."""
+    """Fraction of trials whose SINR falls below ``theta``.  Defaults to the
+    upper-bounded SINR (``sinr_kind="bounded"``), whereas ``estimate_rows``
+    and ``estimate_asep`` default to the exact one."""
     return estimate_rows(scenario, [(scenario.K, powers)], theta=theta,
                          trials=trials, seed=seed, sinr_kind=sinr_kind,
                          metric=metric)[0][0]

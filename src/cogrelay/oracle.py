@@ -1,10 +1,13 @@
 """Independent brute-force validators for the closed forms.
 
 Everything here evaluates the underlying expectation integrals directly
-with adaptive quadrature over the Gamma densities, sharing only
-elementary primitives (Gamma survival, erfc) with the rest of the
-package.  These routines exist for tests and acceptance runs; speed is
-not a goal.
+with adaptive quadrature over the Gamma densities (scipy's regularized
+incomplete gamma for the cdf and survival).  The outage oracles share no
+code with the closed forms.  ``asep_oracle`` is the exception: by default
+its inner cdf is the closed-form ``cdf_scenario_a``, so it checks the
+kernel integration only; ``use_oracle_cdf=True`` swaps in the quadrature
+cdf.  These routines exist for tests and acceptance runs; speed is not a
+goal.
 """
 
 from __future__ import annotations

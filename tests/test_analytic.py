@@ -420,10 +420,12 @@ def _shaped(mx, mw, my, mz, mv=2):
         gamma_bar_p=100.0, gamma_bar_s=8.0, gamma_bar_r=12.0)
 
 
-# link shapes (x, w, y, z) of the analytic_highm workload, of example.cfg
-# and a high-severity set with m = 8
-SHAPES = pytest.mark.parametrize("shapes", [(6, 5, 4, 3), (3, 2, 2, 1), (8, 4, 3, 2)],
-                                 ids=["analytic_highm", "example", "m8"])
+# link shapes (x, w, y, z) of the analytic_highm workload, of example.cfg,
+# a high-severity set with m = 8, Rayleigh fading on every link, and a set
+# with mw > mx (a swapped axis of a per-shape grid shows there)
+SHAPES = pytest.mark.parametrize(
+    "shapes", [(6, 5, 4, 3), (3, 2, 2, 1), (8, 4, 3, 2), (1, 1, 1, 1), (2, 3, 1, 4)],
+    ids=["analytic_highm", "example", "m8", "rayleigh", "mw_above_mx"])
 
 
 @SHAPES

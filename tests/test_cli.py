@@ -67,6 +67,25 @@ class TestRunSweep:
         cells = row.as_csv().split(",")
         assert cells[7] == ""  # mc_oc column
 
+    @pytest.mark.parametrize("text", [
+        SMALL, SMALL_B.replace("outage_thresholds = 0.3", "outage_thresholds = 0.0, 0.3")],
+        ids=["a", "b"])
+    @pytest.mark.parametrize("mode", [{}, {"analytic_only": True}, {"mc_only": True}],
+                             ids=["full", "analytic_only", "mc_only"])
+    def test_silent_rows_fill_the_cells_of_transmitting_rows(self, text, mode):
+        # a zero-threshold or infeasible row writes exactly the cells that a
+        # transmitting row of the same scenario and mode writes
+        cfg = parse_config(text)
+        rows = cli.run_sweep(cfg.sweeps["sweep"], cfg, **mode)
+
+        def filled(row):
+            return [cell != "" for cell in row.as_csv().split(",")[:-1]]
+
+        silent = [filled(r) for r in rows if r.gamma_bar_s == 0.0]
+        sending = [filled(r) for r in rows if r.gamma_bar_s > 0.0 and not r.error]
+        assert silent and sending
+        assert all(cells == sending[0] for cells in silent + sending)
+
     def test_threshold_ordering(self):
         text = SMALL.replace("outage_thresholds = 0.0, 0.1",
                              "outage_thresholds = 0.05, 0.3")
@@ -237,6 +256,13 @@ class TestMain:
             cli.main(["--config", path])
         assert err.value.code == 2
         assert "line" in capsys.readouterr().err
+
+    def test_model_error_in_config_is_usage_error(self, tmp_path, capsys):
+        path = _write(tmp_path, SMALL.replace("rate = 1.0", "rate = 0.0"))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["--config", path])
+        assert err.value.code == 2
+        assert "primary_rate must be positive" in capsys.readouterr().err
 
     def test_unknown_sweep_name(self, tmp_path, capsys):
         path = _write(tmp_path, SMALL)

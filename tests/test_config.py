@@ -158,6 +158,11 @@ class TestErrors:
             parse_config(text)
         assert str(err.value).startswith(f"line {self._line_of(text, 'bogus')}: ")
 
+    def test_model_validation_error_is_config_error(self):
+        # the primary rate passes the grammar but not the network model
+        with pytest.raises(ConfigError, match="primary_rate must be positive"):
+            parse_config(BASE.replace("rate = 1.0", "rate = 0.0"))
+
     def test_threshold_out_of_range(self):
         with pytest.raises(ConfigError):
             parse_config(BASE.replace("outage_thresholds = 0.0, 0.1",

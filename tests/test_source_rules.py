@@ -58,12 +58,12 @@ def _arrays(value):
 
 
 def test_cached_tables_are_read_only():
-    # the lru_cache'd tables and layouts of the closed forms are shared by
-    # every row with the same link shapes, so a row that wrote into one
-    # would corrupt all later rows; their arrays must refuse writes
+    # the lru_cache'd tables of the closed forms are shared by every row
+    # with the same link shapes, so a row that wrote into one would corrupt
+    # all later rows; their arrays must refuse writes
     builders = {name: fn for name, fn in vars(analytic).items()
                 if callable(fn) and hasattr(fn, "cache_info")}
-    assert len(builders) >= 4, sorted(builders)
+    assert set(builders) == {"_chi1_table", "_chi2_table", "_survival_table"}, sorted(builders)
     for name, fn in builders.items():
         shapes = (3,) * len(inspect.signature(fn).parameters)
         arrays = list(_arrays(fn(*shapes)))
