@@ -8,13 +8,13 @@ The CSV contract (UTF-8, LF, header always present)::
 
 Floats carry 17 significant digits so identical (config, seed) runs are
 byte-identical.  ``analytic_asep`` (Scenario (a)) is the kernel average of
-the direction cdf by the fixed DE rule of ``asep_kernel_scenario_a``.  A
-zero primary outage threshold allows no secondary transmission, so that
-row reports an outage of exactly 1; so does a row whose constraint admits
-no power (``infeasible``).  Such a silent row fills exactly the cells a
-transmitting row of the same scenario and mode fills.  Per-point
-numerical failures are recorded in the ``error`` column and the run
-continues.
+the direction cdf by the fixed DE rule of ``asep_kernel_scenario_a``.  One
+rule (``_filled_cells``) sets the cells every row fills: ``analytic_*``
+unless ``--mc-only``, ``mc_*`` unless ``--analytic-only``, ``*_asep`` only
+in Scenario (a).  A silent row, with no secondary power (a zero primary
+outage threshold, or ``infeasible``), supplies outage 1, SEP a/2 and CI 0
+to those cells.  A row whose closed form raised leaves them blank and
+says why in ``error``; the run continues.
 """
 
 from __future__ import annotations
@@ -59,12 +59,12 @@ class SweepRow:
     gamma_bar_p: float
     gamma_bar_s: float | None
     gamma_bar_r: float | None
-    analytic_oc: float | None
-    mc_oc: float | None
-    mc_oc_ci: float | None
-    analytic_asep: float | None
-    mc_asep: float | None
-    mc_asep_ci: float | None
+    analytic_oc: float | None = None
+    mc_oc: float | None = None
+    mc_oc_ci: float | None = None
+    analytic_asep: float | None = None
+    mc_asep: float | None = None
+    mc_asep_ci: float | None = None
     error: str = ""
 
     def as_csv(self) -> str:
@@ -110,29 +110,22 @@ def _solve_powers(scenario: NetworkScenario, gp: float, cap_s: float,
     return gs, relay_powers
 
 
-def _silent_row(x_db, threshold, K, gp, mod: ModulationSpec, with_asep: bool,
-                analytic: bool, mc: bool) -> SweepRow:
-    """No admissible secondary power (``infeasible`` unless the threshold is
-    zero): outage is exactly one and the SEP saturates at its zero-SINR value.
-    Only the cells a transmitting row of the same scenario (ASEP or not)
-    and mode (``analytic``, ``mc`` or both) fills are filled."""
-    sep = mod.a / 2.0 if with_asep else None
-    return SweepRow(x_db=x_db, threshold=threshold, K=K, gamma_bar_p=gp,
-                    gamma_bar_s=0.0, gamma_bar_r=0.0,
-                    analytic_oc=1.0 if analytic else None,
-                    mc_oc=1.0 if mc else None, mc_oc_ci=0.0 if mc else None,
-                    analytic_asep=sep if analytic else None,
-                    mc_asep=sep if mc else None,
-                    mc_asep_ci=0.0 if mc and with_asep else None,
-                    error="infeasible" if threshold > 0.0 else "")
+def _filled_cells(scenario: Scenario, analytic_only: bool, mc_only: bool) -> set[str]:
+    """The CSV columns every row of a sweep fills: ``analytic_*`` unless
+    Monte Carlo only, ``mc_*`` unless analytic only, ``*_asep`` only in
+    Scenario (a), and every other column always."""
+    return {name for name in CSV_HEADER.split(",")
+            if not (mc_only and name.startswith("analytic_"))
+            and not (analytic_only and name.startswith("mc_"))
+            and not (scenario is Scenario.B and "_asep" in name)}
 
 
 def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float,
-                 mod: ModulationSpec, analytic_only: bool,
-                 mc_only: bool) -> Iterator[tuple[SweepRow, PowerProfile | None]]:
-    """The rows of one (grid point, threshold), one per relay count, with
-    their closed-form cells and their powers if Monte Carlo is due.  Each
-    power is solved once: relay k's is the same for every K >= k."""
+                 mod: ModulationSpec,
+                 filled: set[str]) -> Iterator[tuple[dict, PowerProfile | None]]:
+    """The cells of one (grid point, threshold), one dict per relay count,
+    with their closed-form values and their powers if Monte Carlo is due.
+    Each power is solved once: relay k's is the same for every K >= k."""
     gp = db_to_linear(x_db if plan.x_axis == "primary_snr_db"
                       else cfg.primary_snr_db)
     if plan.x_axis == "secondary_snr_db":
@@ -145,31 +138,35 @@ def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float,
     gs, relay_powers = _solve_powers(top, gp, cap_s, cap_r, threshold)
     for K in plan.relay_counts:
         gr = min(cap_r, *relay_powers[:K]) if len(relay_powers) >= K else 0.0
+        cells = dict(x_db=x_db, threshold=threshold, K=K, gamma_bar_p=gp,
+                     gamma_bar_s=gs, gamma_bar_r=gr)
         if gs <= 0.0 or gr <= 0.0:
-            yield _silent_row(x_db, threshold, K, gp, mod, top.scenario is Scenario.A,
-                              analytic=not mc_only, mc=not analytic_only), None
+            # no admissible secondary power (``infeasible`` unless the threshold
+            # is zero): outage is exactly one, the SEP its zero-SINR value
+            sep = mod.a / 2.0
+            cells.update(gamma_bar_s=0.0, gamma_bar_r=0.0, analytic_oc=1.0, mc_oc=1.0,
+                         mc_oc_ci=0.0, analytic_asep=sep, mc_asep=sep, mc_asep_ci=0.0,
+                         error="infeasible" if threshold > 0.0 else "")
+            yield cells, None
             continue
         scenario = cfg.network_scenario(K)
         theta = scenario.secondary_threshold
         inputs = _secondary_inputs(scenario, gp, gs, gr)
-        analytic_oc = analytic_asep = powers = None
-        error = ""
+        powers = None
         try:
-            if not mc_only:
-                if scenario.scenario is Scenario.A:
-                    analytic_oc = cdf_scenario_a_e2e(inputs[0], theta)
-                    analytic_asep = asep_kernel_scenario_a(inputs[0], mod)
-                else:
-                    analytic_oc = cdf_scenario_b(inputs, K, theta)
-            if not analytic_only:
+            if "analytic_oc" in filled:
+                cells["analytic_oc"] = (cdf_scenario_a_e2e(inputs[0], theta)
+                                        if scenario.scenario is Scenario.A
+                                        else cdf_scenario_b(inputs, K, theta))
+            if "analytic_asep" in filled:
+                cells["analytic_asep"] = asep_kernel_scenario_a(inputs[0], mod)
+            if "mc_oc" in filled:
                 powers = PowerProfile(gamma_bar_p=gp, gamma_bar_s=gs, gamma_bar_r=gr,
                                       max_gamma_bar_s=cap_s, max_gamma_bar_r=cap_r)
         except CogrelayError as exc:
-            error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-        yield SweepRow(x_db=x_db, threshold=threshold, K=K, gamma_bar_p=gp,
-                       gamma_bar_s=gs, gamma_bar_r=gr, analytic_oc=analytic_oc,
-                       mc_oc=None, mc_oc_ci=None, analytic_asep=analytic_asep,
-                       mc_asep=None, mc_asep_ci=None, error=error), powers
+            error = f"{type(exc).__name__}: {exc}"
+            cells["error"] = error.replace(",", ";").replace("\n", " ")
+        yield cells, powers
 
 
 def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
@@ -178,24 +175,25 @@ def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
     """Evaluate the full (grid point x threshold x relay count) lattice in
     deterministic order.  The closed forms are evaluated point by point;
     the Monte Carlo cells of all rows are then estimated together, on one
-    gain draw per trial slice for the largest relay count among them."""
+    gain draw per trial slice for the largest relay count among them.
+    Each row keeps only the cells ``_filled_cells`` names."""
     mod = mod or mpsk_constants(4)
+    filled = _filled_cells(cfg.scenario_kind, analytic_only, mc_only)
     points = [point for x_db in plan.grid_db() for threshold in plan.outage_thresholds
-              for point in _sweep_point(cfg, plan, x_db, threshold, mod,
-                                        analytic_only, mc_only)]
-    rows = [row for row, _ in points]
-    pending = [i for i, (_, powers) in enumerate(points) if powers is not None]
+              for point in _sweep_point(cfg, plan, x_db, threshold, mod, filled)]
+    pending = [(cells, powers) for cells, powers in points if powers is not None]
     scenario = cfg.network_scenario(max(plan.relay_counts))
     ests = montecarlo.estimate_rows(
-        scenario, [(rows[i].K, points[i][1]) for i in pending],
+        scenario, [(cells["K"], powers) for cells, powers in pending],
         theta=scenario.secondary_threshold,
-        mod=mod if scenario.scenario is Scenario.A else None,
+        mod=mod if "mc_asep" in filled else None,
         trials=plan.trials, seed=plan.seed, sinr_kind="exact")
-    for i, (oc, sep) in zip(pending, ests):
-        rows[i] = replace(rows[i], mc_oc=oc.value, mc_oc_ci=oc.ci_half_width)
+    for (cells, _), (oc, sep) in zip(pending, ests):
+        cells.update(mc_oc=oc.value, mc_oc_ci=oc.ci_half_width)
         if sep is not None:
-            rows[i] = replace(rows[i], mc_asep=sep.value, mc_asep_ci=sep.ci_half_width)
-    return rows
+            cells.update(mc_asep=sep.value, mc_asep_ci=sep.ci_half_width)
+    return [SweepRow(**{name: value for name, value in cells.items() if name in filled})
+            for cells, _ in points]
 
 
 def write_csv(rows: list[SweepRow], stream) -> None:

@@ -28,11 +28,14 @@ The format is a sectioned key = value file::
     seed = 42
 
 ``#`` starts a comment.  Unknown sections or keys are rejected with the
-offending line number.  Per-relay link overrides use a 1-based index
-suffix, e.g. ``[links.pt_relay.2]``; the unsuffixed section is the shared
-default.  Additional named sweeps live in ``[sweep.<name>]`` sections.
-All dB values are converted to linear exactly once, when the parsed
-config is turned into model objects.
+offending line number.  The keys of each section kind, their types and
+which of them are required are stated once, in ``_GRAMMAR``: the parser
+reads every section by it and ``serialize_config`` writes every section
+from it.  Per-relay link overrides use a 1-based index suffix, e.g.
+``[links.pt_relay.2]``; the unsuffixed section is the shared default.
+Additional named sweeps live in ``[sweep.<name>]`` sections.  All dB
+values are converted to linear exactly once, when the parsed config is
+turned into model objects.
 """
 
 from __future__ import annotations
@@ -49,13 +52,27 @@ LINK_NAMES = ("pt_px", "s1_px", "s2_px", "relay_px", "pt_relay",
 _PER_RELAY = ("relay_px", "pt_relay", "s1_relay", "s2_relay")
 _AXES = ("primary_snr_db", "secondary_snr_db")
 
-_PRIMARY_KEYS = {"rate": float, "snr_db": float}
-_SECONDARY_KEYS = {"scenario": str, "relays": int, "threshold_db": float,
-                   "max_source_snr_db": float, "max_relay_snr_db": float}
-_LINK_KEYS = {"m": int, "mean_gain": float}
-_SWEEP_KEYS = {"axis": str, "start_db": float, "stop_db": float, "step_db": float,
-               "outage_thresholds": "float_list", "relay_counts": "int_list",
-               "trials": int, "seed": int}
+
+def _list_of(kind):
+    """Parser of a comma-separated list of ``kind`` values."""
+    return lambda raw: tuple(kind(item) for item in raw.split(","))
+
+
+# The grammar: section kind -> key -> (parser of the raw value, required).
+# ``serialize_config`` writes every key in this order.  An optional key
+# left out takes its default from ``parse_config`` (``relays`` is 1, a
+# sweep's ``relay_counts`` is ``(relays,)``) or from ``SweepPlan``.
+_GRAMMAR = {
+    "primary": {"rate": (float, True), "snr_db": (float, True)},
+    "secondary": {"scenario": (str, True), "relays": (int, False),
+                  "threshold_db": (float, True), "max_source_snr_db": (float, True),
+                  "max_relay_snr_db": (float, True)},
+    "links": {"m": (int, True), "mean_gain": (float, True)},
+    "sweep": {"axis": (str, True), "start_db": (float, True), "stop_db": (float, True),
+              "step_db": (float, True), "outage_thresholds": (_list_of(float), True),
+              "relay_counts": (_list_of(int), False), "trials": (int, False),
+              "seed": (int, False)},
+}
 
 
 @dataclass(frozen=True)
@@ -141,21 +158,6 @@ class RunConfig:
         )
 
 
-def _convert(raw: str, kind, key: str, line: int):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "float_list":
-            return tuple(float(t) for t in raw.split(","))
-        if kind == "int_list":
-            return tuple(int(t) for t in raw.split(","))
-        return raw
-    except ValueError:
-        raise ConfigError(f"invalid value {raw!r} for key {key!r}", line) from None
-
-
 def _scan(text: str):
     """Yield (line_number, section_or_none, key_or_none, raw_value)."""
     section = None
@@ -192,20 +194,30 @@ def _collect(text: str) -> dict[str, tuple[int, dict[str, tuple[int, str]]]]:
     return sections
 
 
-def _typed(section: str, keys: dict, schema: dict) -> dict:
-    out = {}
+def _read(section: str, kind: str, header_line: int, keys: dict) -> dict:
+    """Type the keys of one section of ``kind`` by the grammar and check
+    that its required keys are present."""
+    grammar = _GRAMMAR[kind]
+    values = {}
     for key, (lineno, raw) in keys.items():
-        if key not in schema:
+        if key not in grammar:
             raise ConfigError(f"unknown key {key!r} in section [{section}]", lineno)
-        out[key] = _convert(raw, schema[key], key, lineno)
-    return out
+        try:
+            values[key] = grammar[key][0](raw)
+        except ValueError:
+            raise ConfigError(f"invalid value {raw!r} for key {key!r}", lineno) from None
+    for key, (_, required) in grammar.items():
+        if required and key not in values:
+            raise ConfigError(f"section [{section}] is missing key {key!r}", header_line)
+    return values
 
 
-def _require(section: str, values: dict, names, header_line: int):
-    for name in names:
-        if name not in values:
-            raise ConfigError(f"section [{section}] is missing key {name!r}",
-                              header_line)
+def _build(make, line: int | None, **values):
+    """``make(**values)``, raising a model ``ValueError`` as a ConfigError."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line) from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -218,15 +230,9 @@ def parse_config(text: str) -> RunConfig:
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
 
-    hline, keys = sections["primary"]
-    primary = _typed("primary", keys, _PRIMARY_KEYS)
-    _require("primary", primary, ("rate", "snr_db"), hline)
-
+    primary = _read("primary", "primary", *sections["primary"])
     hline, keys = sections["secondary"]
-    secondary = _typed("secondary", keys, _SECONDARY_KEYS)
-    _require("secondary", secondary,
-             ("scenario", "threshold_db", "max_source_snr_db", "max_relay_snr_db"),
-             hline)
+    secondary = _read("secondary", "secondary", hline, keys)
     kind_raw = secondary["scenario"].lower()
     if kind_raw not in ("a", "b"):
         raise ConfigError(f"scenario must be 'a' or 'b', got {kind_raw!r}", hline)
@@ -255,35 +261,17 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"link {name!r} has no per-relay variants", hline)
             if idx is not None and not (1 <= idx <= relays):
                 raise ConfigError(f"relay index {idx} outside 1..{relays}", hline)
-            values = _typed(section, keys, _LINK_KEYS)
-            _require(section, values, ("m", "mean_gain"), hline)
-            try:
-                link = FadingLink(values["m"], values["mean_gain"])
-            except ValueError as exc:
-                raise ConfigError(str(exc), hline) from None
+            link = _build(FadingLink, hline, **_read(section, "links", hline, keys))
             if idx is None:
                 link_defaults[name] = link
             else:
                 link_overrides[(name, idx)] = link
         elif parts[0] == "sweep" and len(parts) <= 2:
             name = parts[1] if len(parts) == 2 else "sweep"
-            values = _typed(section, keys, _SWEEP_KEYS)
-            _require(section, values,
-                     ("axis", "start_db", "stop_db", "step_db", "outage_thresholds"),
-                     hline)
-            try:
-                sweeps[name] = SweepPlan(
-                    x_axis=values["axis"],
-                    start_db=values["start_db"],
-                    stop_db=values["stop_db"],
-                    step_db=values["step_db"],
-                    outage_thresholds=values["outage_thresholds"],
-                    relay_counts=values.get("relay_counts", (relays,)),
-                    trials=values.get("trials", 100_000),
-                    seed=values.get("seed", 0),
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc), hline) from None
+            values = _read(section, "sweep", hline, keys)
+            values["x_axis"] = values.pop("axis")
+            values.setdefault("relay_counts", (relays,))
+            sweeps[name] = _build(SweepPlan, hline, **values)
         else:
             raise ConfigError(f"unknown section [{section}]", hline)
 
@@ -312,10 +300,7 @@ def parse_config(text: str) -> RunConfig:
         link_overrides=link_overrides,
         sweeps=sweeps,
     )
-    try:
-        cfg.network_scenario()  # surface model-level validation errors now
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _build(cfg.network_scenario, None)  # surface model-level validation errors now
     return cfg
 
 
@@ -324,37 +309,31 @@ def load_config(path: str) -> RunConfig:
         return parse_config(fh.read())
 
 
+def _section(header: str, kind: str, values: dict) -> str:
+    """One section's text: its header, then every key of ``kind`` in
+    grammar order, lists comma-separated and floats as their repr."""
+    lines = [f"[{header}]"]
+    for key in _GRAMMAR[kind]:
+        value = values[key]
+        text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Render a RunConfig back to config text; parse_config round-trips it.
     Public API for writing configs from code; the CLI does not call it."""
-    out = []
-    out.append("[primary]")
-    out.append(f"rate = {cfg.primary_rate!r}")
-    out.append(f"snr_db = {cfg.primary_snr_db!r}")
-    out.append("")
-    out.append("[secondary]")
-    out.append(f"scenario = {cfg.scenario_kind.value}")
-    out.append(f"relays = {cfg.relays}")
-    out.append(f"threshold_db = {cfg.threshold_db!r}")
-    out.append(f"max_source_snr_db = {cfg.max_source_snr_db!r}")
-    out.append(f"max_relay_snr_db = {cfg.max_relay_snr_db!r}")
-    for name in LINK_NAMES:
-        if name in cfg.link_defaults:
-            link = cfg.link_defaults[name]
-            out += ["", f"[links.{name}]", f"m = {link.m}",
-                    f"mean_gain = {link.mean_gain!r}"]
-    for (name, idx), link in sorted(cfg.link_overrides.items()):
-        out += ["", f"[links.{name}.{idx}]", f"m = {link.m}",
-                f"mean_gain = {link.mean_gain!r}"]
-    for name, plan in cfg.sweeps.items():
-        header = "[sweep]" if name == "sweep" else f"[sweep.{name}]"
-        out += ["", header,
-                f"axis = {plan.x_axis}",
-                f"start_db = {plan.start_db!r}",
-                f"stop_db = {plan.stop_db!r}",
-                f"step_db = {plan.step_db!r}",
-                "outage_thresholds = " + ", ".join(repr(t) for t in plan.outage_thresholds),
-                "relay_counts = " + ", ".join(str(k) for k in plan.relay_counts),
-                f"trials = {plan.trials}",
-                f"seed = {plan.seed}"]
-    return "\n".join(out) + "\n"
+    sections = [
+        _section("primary", "primary",
+                 {"rate": cfg.primary_rate, "snr_db": cfg.primary_snr_db}),
+        _section("secondary", "secondary",
+                 {**vars(cfg), "scenario": cfg.scenario_kind.value}),
+    ]
+    sections += [_section(f"links.{name}", "links", vars(cfg.link_defaults[name]))
+                 for name in LINK_NAMES if name in cfg.link_defaults]
+    sections += [_section(f"links.{name}.{idx}", "links", vars(link))
+                 for (name, idx), link in sorted(cfg.link_overrides.items())]
+    sections += [_section("sweep" if name == "sweep" else f"sweep.{name}", "sweep",
+                          {**vars(plan), "axis": plan.x_axis})
+                 for name, plan in cfg.sweeps.items()]
+    return "\n".join(sections)

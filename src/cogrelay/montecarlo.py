@@ -365,7 +365,9 @@ def estimate_asep(scenario: NetworkScenario, powers: PowerProfile,
                          seed=seed, sinr_kind=sinr_kind, sep_metric=metric)[0][1]
 
 
-_PRIMARY_LINK_IDS = {"e": 0, "f": 1, "g": 2, "l": 3}
+# ``link_table``'s stream ids for these links (``l`` is relay 0's), so a
+# primary-outage estimate draws the same gains as a sweep at the same seed.
+_PRIMARY_LINK_IDS = {"e": 0, "f": 1, "g": 2, "l": 6}
 
 
 def estimate_primary_outage(inputs: PrimaryOutageInputs, trials: int = DEFAULT_TRIALS,

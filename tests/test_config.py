@@ -1,5 +1,8 @@
 """Config grammar: parsing, validation with line numbers, round-trip."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from cogrelay.errors import ConfigError
@@ -64,6 +67,35 @@ outage_thresholds = 0.0, 0.1
 trials = 20000
 seed = 7
 """
+
+# Scenario (b) with a per-relay link override and a named sweep, so that
+# every section kind of the grammar appears in one text.
+TEXT_B = BASE.replace("scenario = a", "scenario = b") \
+             .replace("relays = 1", "relays = 2") \
+             .replace("[links.pt_s1]\nm = 1\nmean_gain = 0.05\n\n", "") \
+             .replace("[links.pt_s2]\nm = 2\nmean_gain = 0.04\n\n", "") \
+    + "\n[links.pt_relay.2]\nm = 1\nmean_gain = 2.5\n" \
+    + "\n[sweep.fine]\naxis = secondary_snr_db\nstart_db = 0.0\nstop_db = 5.0\n" \
+      "step_db = 1.0\noutage_thresholds = 0.05, 0.2\nrelay_counts = 1, 2\n"
+
+# One section of each kind: (text, header, one of its required key lines,
+# that line with a value of the wrong type).
+SECTIONS = {
+    "primary": (BASE, "[primary]", "snr_db = 10.0", "snr_db = loud"),
+    "secondary": (BASE, "[secondary]", "threshold_db = 3.0", "threshold_db = 3.0.1"),
+    "links": (BASE, "[links.s2_relay]", "m = 3", "m = 2.5"),
+    "links_relay": (TEXT_B, "[links.pt_relay.2]", "mean_gain = 2.5", "mean_gain = big"),
+    "sweep": (BASE, "[sweep]", "outage_thresholds = 0.0, 0.1",
+              "outage_thresholds = 0.0, high"),
+    "sweep_named": (TEXT_B, "[sweep.fine]", "step_db = 1.0", "step_db = 1 dB"),
+}
+
+
+def _in_section(text, header, old, new):
+    """``text`` with the first ``old`` after ``header`` replaced by ``new``."""
+    head, sep, tail = text.partition(header + "\n")
+    assert sep and old in tail
+    return head + sep + tail.replace(old, new, 1)
 
 
 class TestParsing:
@@ -163,6 +195,32 @@ class TestErrors:
         with pytest.raises(ConfigError, match="primary_rate must be positive"):
             parse_config(BASE.replace("rate = 1.0", "rate = 0.0"))
 
+    @pytest.mark.parametrize("kind", SECTIONS)
+    def test_unknown_key_reports_its_line(self, kind):
+        text, header, _, _ = SECTIONS[kind]
+        text = text.replace(header + "\n", header + "\nbogus = 3\n", 1)
+        message = f"unknown key 'bogus' in section {re.escape(header)}"
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_config(text)
+        assert err.value.line == self._line_of(text, "bogus")
+
+    @pytest.mark.parametrize("kind", SECTIONS)
+    def test_missing_key_reports_the_header_line(self, kind):
+        text, header, line, _ = SECTIONS[kind]
+        text = _in_section(text, header, line + "\n", "")
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"is missing key '{key}'") as err:
+            parse_config(text)
+        assert err.value.line == self._line_of(text, header)
+
+    @pytest.mark.parametrize("kind", SECTIONS)
+    def test_bad_value_reports_its_line(self, kind):
+        text, header, line, bad = SECTIONS[kind]
+        text = _in_section(text, header, line, bad)
+        with pytest.raises(ConfigError, match="invalid value") as err:
+            parse_config(text)
+        assert err.value.line == self._line_of(text, bad)
+
     def test_threshold_out_of_range(self):
         with pytest.raises(ConfigError):
             parse_config(BASE.replace("outage_thresholds = 0.0, 0.1",
@@ -193,3 +251,10 @@ class TestRoundTrip:
         again = parse_config(serialize_config(cfg))
         assert again == cfg
         assert again.network_scenario() == cfg.network_scenario()
+
+    @pytest.mark.parametrize("text", [
+        (Path(__file__).parents[1] / "example.cfg").read_text(), TEXT_B],
+        ids=["example", "scenario_b"])
+    def test_round_trip(self, text):
+        cfg = parse_config(text)
+        assert parse_config(serialize_config(cfg)) == cfg

@@ -319,6 +319,16 @@ class TestPrimaryEstimator:
         gamma_bar_p=10.0, gamma_bar_s1=4.0, gamma_bar_s2=6.0,
         gamma_bar_r=5.0, threshold=1.0)
 
+    @pytest.mark.parametrize("scenario", [scenario_a(), scenario_b(K=1)], ids=["a", "b"])
+    def test_streams_are_the_link_table_streams(self, scenario):
+        # each primary link reads the stream that link_table gives it in a
+        # one-relay network (relay 0's for l), so both estimators share draws
+        suffix = "" if scenario.scenario is Scenario.A else "0"
+        ids = {name: i for i, (name, _) in enumerate(mc.link_table(scenario))}
+        for name, stream in mc._PRIMARY_LINK_IDS.items():
+            table_name = name + suffix if name == "l" else name
+            assert stream == ids[table_name], name
+
     def test_source_phase_matches_closed_form(self):
         est = mc.estimate_primary_outage(self.INPUTS, trials=400_000, seed=17,
                                          phase="ma")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import cogrelay
-from cogrelay import analytic, cli
+from cogrelay import analytic, cli, config
 
 SOURCES = sorted(Path(cogrelay.__file__).parent.glob("*.py"))
 
@@ -80,3 +80,15 @@ def test_documented_csv_header_matches_the_sweep():
     assert all(blocks)
     for block in blocks:
         assert "".join(line.strip() for line in block[1].splitlines()) == cli.CSV_HEADER
+
+
+def test_documented_config_grammar_matches_the_parser():
+    # the README's grammar table names, per section kind, every key the
+    # parser reads and marks the optional ones
+    readme = (Path(cogrelay.__file__).parents[2] / "README.md").read_text()
+    documented = {}
+    for kind, keys in re.findall(r"^\| `\[(\w+)[^|]*\| (.*) \|$", readme, re.M):
+        entries = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", keys)
+        documented[kind] = {key: not note.startswith("optional") for key, note in entries}
+    assert documented == {kind: {key: required for key, (_, required) in grammar.items()}
+                          for kind, grammar in config._GRAMMAR.items()}
