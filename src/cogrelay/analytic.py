@@ -16,12 +16,12 @@ thetas and the double-exponential kernel rule are numpy's pairwise sums.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, exp, fsum, lgamma, log
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gamma, xlogy
 
 from .errors import Infeasible, NearDegeneratePoles, NumericalInstability
@@ -185,14 +185,62 @@ def relay_phase_outage(inputs: PrimaryOutageInputs) -> float:
     return _clamp_probability(1.0 - fsum(terms), "relay_phase_outage")
 
 
+def _brent(f, a: float, b: float, fa: float, fb: float, what: str):
+    """Root of ``f`` in [a, b] and ``f`` there, given fa = f(a) and fb = f(b).
+
+    Brent's method (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4), ported step for step from scipy's
+    ``brentq.c`` at xtol 1e-12, rtol 1e-15 and 100 iterations, so the root
+    is the same float.  A same-sign bracket, a NaN value or
+    non-convergence raises NumericalInstability.
+    """
+    if math.isnan(fa) or math.isnan(fb) or ((fa < 0.0) == (fb < 0.0) and fa != 0.0 != fb):
+        raise NumericalInstability(
+            f"{what}: constraint values {fa:.6g}, {fb:.6g} at {a:.6g}, {b:.6g} bracket no root")
+    if fa == 0.0 or fb == 0.0:
+        return (a, fa) if fa == 0.0 else (b, fb)
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-12 + 1e-15 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+        stry = math.inf  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            with suppress(ZeroDivisionError):  # C gets +-inf or NaN here and bisects
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise NumericalInstability(f"{what}: constraint is NaN at power {xcur:.6g}")
+    raise NumericalInstability(f"{what}: root finder did not converge in 100 iterations")
+
+
 def _bisect_power(constraint, threshold: float, cap: float, what: str) -> float:
     """Largest power in [0, cap] whose ``constraint`` meets ``threshold``.
 
     Returns ``cap`` when the constraint holds there; otherwise the root of
-    ``constraint(p) = threshold``, located by Brent's method to 1e-12
-    in the power (relative above 1).  A root that does not reproduce its threshold
-    within 1e-9 (a constraint that jumps across it) raises
-    NumericalInstability.
+    ``constraint(p) = threshold``, located by ``_brent`` (scipy's ``brentq``,
+    bit for bit) to 1e-12 in the power (relative above 1).  A root that
+    does not reproduce its threshold within 1e-9 (a constraint that jumps
+    across it) raises NumericalInstability.
     """
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must be a probability, got {threshold}")
@@ -202,14 +250,12 @@ def _bisect_power(constraint, threshold: float, cap: float, what: str) -> float:
             f"{what}: outage without interference ({f0:.6g}) already exceeds "
             f"the threshold {threshold:.6g}"
         )
-    if constraint(cap) <= threshold:
+    fcap = constraint(cap)
+    if fcap <= threshold:
         return cap
-    try:
-        root = brentq(lambda p: constraint(p) - threshold, 0.0, cap,
-                      xtol=1e-12, rtol=1e-15)
-    except (RuntimeError, ValueError) as exc:
-        raise NumericalInstability(f"{what}: root finder failed: {exc}") from exc
-    if abs(constraint(root) - threshold) > 1e-9:
+    root, residual = _brent(lambda p: constraint(p) - threshold, 0.0, cap,
+                            f0 - threshold, fcap - threshold, what)
+    if abs(residual) > 1e-9:
         raise NumericalInstability(
             f"{what}: constraint does not reach the threshold {threshold:.6g} "
             f"continuously near power {root:.6g}")

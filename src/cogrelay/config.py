@@ -40,6 +40,7 @@ turned into model objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -53,6 +54,13 @@ _PER_RELAY = ("relay_px", "pt_relay", "s1_relay", "s2_relay")
 _AXES = ("primary_snr_db", "secondary_snr_db")
 
 
+def _finite(raw: str) -> float:
+    """A float that is neither NaN nor infinite."""
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 def _list_of(kind):
     """Parser of a comma-separated list of ``kind`` values."""
     return lambda raw: tuple(kind(item) for item in raw.split(","))
@@ -63,13 +71,13 @@ def _list_of(kind):
 # left out takes its default from ``parse_config`` (``relays`` is 1, a
 # sweep's ``relay_counts`` is ``(relays,)``) or from ``SweepPlan``.
 _GRAMMAR = {
-    "primary": {"rate": (float, True), "snr_db": (float, True)},
+    "primary": {"rate": (_finite, True), "snr_db": (_finite, True)},
     "secondary": {"scenario": (str, True), "relays": (int, False),
-                  "threshold_db": (float, True), "max_source_snr_db": (float, True),
-                  "max_relay_snr_db": (float, True)},
-    "links": {"m": (int, True), "mean_gain": (float, True)},
-    "sweep": {"axis": (str, True), "start_db": (float, True), "stop_db": (float, True),
-              "step_db": (float, True), "outage_thresholds": (_list_of(float), True),
+                  "threshold_db": (_finite, True), "max_source_snr_db": (_finite, True),
+                  "max_relay_snr_db": (_finite, True)},
+    "links": {"m": (int, True), "mean_gain": (_finite, True)},
+    "sweep": {"axis": (str, True), "start_db": (_finite, True), "stop_db": (_finite, True),
+              "step_db": (_finite, True), "outage_thresholds": (_list_of(_finite), True),
               "relay_counts": (_list_of(int), False), "trials": (int, False),
               "seed": (int, False)},
 }

@@ -252,11 +252,8 @@ def _sinr(draw, powers, scenario, K, sinr_kind, metric, s1=None):
 def _chunks(trials: int):
     if trials < 1_000:
         raise ValueError("at least 1000 trials are required")
-    start = 0
-    while start < trials:
-        n = min(_CHUNK, trials - start)
-        yield start, n
-        start += n
+    for start in range(0, trials, _CHUNK):
+        yield start, min(_CHUNK, trials - start)
 
 
 def _pairwise(start: int, n: int, leaf):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.special import gammaln
@@ -61,14 +62,8 @@ class PoleSet:
                 raise ValueError(f"pole multiplicity must be >= 1, got {n}")
 
     def min_relative_separation(self) -> float:
-        locs = [a for a, _ in self.poles]
-        if len(locs) < 2:
-            return math.inf
-        sep = math.inf
-        for i in range(len(locs)):
-            for j in range(i + 1, len(locs)):
-                sep = min(sep, abs(locs[i] - locs[j]) / max(locs[i], locs[j]))
-        return sep
+        return min((abs(a - b) / max(a, b) for (a, _), (b, _) in combinations(self.poles, 2)),
+                   default=math.inf)
 
 
 def log_upper_incomplete_gamma_int(n: int, x: float) -> float:
@@ -159,15 +154,6 @@ def tricomi_u(a, b, z):
     return float(val) if val.ndim == 0 else val
 
 
-def _check_separation(locations) -> None:
-    """Raise NearDegeneratePoles when two locations are closer than
-    POLE_SEPARATION_FLOOR in relative terms."""
-    sep = PoleSet((loc, 1) for loc in locations).min_relative_separation()
-    if sep <= POLE_SEPARATION_FLOOR:
-        raise NearDegeneratePoles(
-            f"pole separation {sep:.3e} below {POLE_SEPARATION_FLOOR:.0e}")
-
-
 def partial_fraction_series(locations, multiplicities) -> np.ndarray:
     """Partial-fraction expansions of a batch of pole products that share
     their pole locations and differ in multiplicities.
@@ -191,7 +177,9 @@ def partial_fraction_series(locations, multiplicities) -> np.ndarray:
     """
     locs = [float(loc) for loc in locations]
     mults = np.asarray(multiplicities, dtype=np.int64).reshape(-1, len(locs))
-    _check_separation(locs)
+    sep = PoleSet((loc, 1) for loc in locs).min_relative_separation()
+    if sep <= POLE_SEPARATION_FLOOR:
+        raise NearDegeneratePoles(f"pole separation {sep:.3e} below {POLE_SEPARATION_FLOOR:.0e}")
     out = np.zeros((len(mults), len(locs), int(mults.max(initial=1))))
     for i, alpha_i in enumerate(locs):
         order = int(mults[:, i].max(initial=1))

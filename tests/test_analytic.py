@@ -2,12 +2,15 @@
 and the symbol-error path."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import gamma
 
-from cogrelay.config import parse_config
+from cogrelay.config import load_config, parse_config
 from cogrelay.errors import Infeasible, NumericalInstability
 from cogrelay.model import FadingLink as L, ModulationSpec, mpsk_constants
 from cogrelay.analytic import (PrimaryOutageInputs, SecondaryCdfInputs,
@@ -115,15 +118,95 @@ class TestPowerSolver:
         ("solve_relay_power", 0.3),
     ])
     def test_evaluations_per_solve(self, solve, thr, monkeypatch):
-        # one bracketing root finder: the hand-rolled probe and bisection
-        # took 52-54 evaluations here
+        # one bracketing root finder that reuses the constraint at 0 and at
+        # the cap and its own residual: 11/13/16/12 evaluations here (the
+        # hand-rolled probe and bisection took 52-54)
         calls = []
         for name in ("primary_outage", "relay_phase_outage"):
             fn = getattr(analytic, name)
             monkeypatch.setattr(analytic, name,
                                 lambda inp, fn=fn: calls.append(1) or fn(inp))
         getattr(analytic, solve)(PRIM, thr, cap=500.0)
-        assert len(calls) <= 24
+        assert len(calls) <= 21
+
+
+def _brent_and_brentq(f, a, b, brent=analytic._brent):
+    """(root, evaluation points) of ``analytic._brent`` and of scipy's
+    ``brentq`` at the solver's tolerances on ``f`` over [a, b]; ``brentq``
+    evaluates ``f`` at a and b first, which ``_brent`` is given."""
+    ours, theirs = [], []
+    root, residual = brent(lambda x: ours.append(x) or f(x), a, b, f(a), f(b), "probe")
+    assert residual == f(root)
+    ref = brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=1e-12, rtol=1e-15)
+    assert theirs[:2] == [a, b]
+    return (root, ours), (ref, theirs[2:])
+
+
+class TestBrent:
+    """``_brent`` is scipy's ``brentq`` step for step: same root, same
+    evaluation points."""
+
+    @pytest.mark.parametrize("path", ["example.cfg", "perfbench/workloads/analytic_highm.cfg",
+                                      "perfbench/workloads/relay_selection.cfg"])
+    def test_matches_brentq_on_every_sweep_solve(self, path, monkeypatch):
+        solves = []
+
+        def compare(f, a, b, fa, fb, what):
+            assert (fa, fb) == (f(a), f(b))
+            ours, theirs = _brent_and_brentq(f, a, b)
+            solves.append(ours == theirs)
+            return ours[0], f(ours[0])
+
+        monkeypatch.setattr(analytic, "_brent", compare)
+        cfg = load_config(str(Path(__file__).parents[1] / path))
+        cli.run_sweep(cfg.sweeps["sweep"], cfg, analytic_only=True)
+        assert solves and all(solves)
+
+    def test_matches_brentq_on_random_monotone_functions(self):
+        # scaled, shifted Weibull cdfs: shapes from flat to steep, roots
+        # anywhere in brackets from 0.1 to 1e3 wide, values from 1e-3 to 1e3
+        rng = np.random.default_rng(14)
+        for k, p, log_cap, frac, log_scale in rng.uniform(
+                [0.1, 0.3, -1.0, 0.01, -3.0], [5.0, 3.0, 3.0, 0.99, 3.0], (200, 5)):
+            cap, scale = 10.0 ** log_cap, 10.0 ** log_scale
+
+            def f(x, k=k, p=p, cap=cap, scale=scale, root=frac * cap):
+                return scale * (math.exp(-k * (root / cap) ** p) - math.exp(-k * (x / cap) ** p))
+            ours, theirs = _brent_and_brentq(f, 0.0, cap)
+            assert ours == theirs
+
+    def test_zero_extrapolation_denominator_bisects(self):
+        # at a 1e-160 scale dblk * dpre * (fblk - fpre) underflows to 0: C
+        # divides to +-inf or NaN and bisects, Python raises ZeroDivisionError
+        raised = []
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not analytic._brent.__code__:
+                return None
+            def local(frame, event, arg):
+                if event == "exception":
+                    raised.append(arg[0])
+                return local
+            return local
+
+        sys.settrace(tracer)
+        try:
+            ours, theirs = _brent_and_brentq(lambda x: 1e-160 * (x ** 3 - 0.3), 0.0, 1.0)
+        finally:
+            sys.settrace(None)
+        assert ZeroDivisionError in raised
+        assert ours == theirs
+
+    @pytest.mark.parametrize("f, b, match", [
+        (lambda x: x + 1.0, 1.0, "bracket no root"),
+        (lambda x: math.nan if x == 1.0 else x - 0.5, 1.0, "bracket no root"),
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 1.0, "NaN at power"),
+        # a jump bisects from 1e300 down to 1e-12: about 1000 halvings
+        (lambda x: -1.0 if x < 1.0 else 1.0, 1e300, "did not converge"),
+    ], ids=["same_sign", "nan_at_bracket", "nan_inside", "iteration_cap"])
+    def test_failures_raise_numerical_instability(self, f, b, match):
+        with pytest.raises(NumericalInstability, match=match):
+            analytic._brent(f, 0.0, b, f(0.0), f(b), "probe")
 
 
 class TestDirectionCdf:

@@ -231,13 +231,14 @@ class TestSelfCheck:
 
 def test_import_leaves_oracles_unloaded():
     # the quadrature oracles are only for the self-check, and
-    # scipy.integrate costs a sweep a large share of its start-up time
-    code = ("import sys, cogrelay.cli; "
-            "print('cogrelay.oracle' in sys.modules, 'scipy.integrate' in sys.modules)")
+    # scipy.integrate, scipy.optimize and the scipy.linalg they pull in
+    # cost a sweep a large share of its start-up time
+    modules = ["cogrelay.oracle", "scipy.integrate", "scipy.optimize", "scipy.linalg"]
+    code = f"import sys, cogrelay.cli; print([m in sys.modules for m in {modules}])"
     src = os.path.dirname(os.path.dirname(cli.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.strip() == str([False] * len(modules))
 
 
 class TestMain:
@@ -263,6 +264,14 @@ class TestMain:
             cli.main(["--config", path])
         assert err.value.code == 2
         assert "primary_rate must be positive" in capsys.readouterr().err
+
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys):
+        path = _write(tmp_path, SMALL.replace("max_source_snr_db = 15.0",
+                                              "max_source_snr_db = nan"))
+        with pytest.raises(SystemExit) as err:
+            cli.main(["--config", path])
+        assert err.value.code == 2
+        assert "invalid value 'nan' for key 'max_source_snr_db'" in capsys.readouterr().err
 
     def test_unknown_sweep_name(self, tmp_path, capsys):
         path = _write(tmp_path, SMALL)

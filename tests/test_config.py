@@ -221,6 +221,18 @@ class TestErrors:
             parse_config(text)
         assert err.value.line == self._line_of(text, bad)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("line", ["max_source_snr_db = 15.0", "mean_gain = 0.8",
+                                      "outage_thresholds = 0.0, 0.1"])
+    def test_non_finite_float_reports_its_line(self, line, value):
+        # a NaN or infinite power, gain or threshold would reach the model
+        # and fail there untyped, or pass its range checks
+        bad = f"{line.rsplit(' ', 1)[0]} {value}"
+        text = BASE.replace(line, bad, 1)
+        with pytest.raises(ConfigError, match=f"invalid value .*{value}") as err:
+            parse_config(text)
+        assert err.value.line == self._line_of(text, bad)
+
     def test_threshold_out_of_range(self):
         with pytest.raises(ConfigError):
             parse_config(BASE.replace("outage_thresholds = 0.0, 0.1",

@@ -25,24 +25,36 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {', '.join(found)}"
 
 
+def _imports(path, package):
+    """``file:line`` of every import of ``package`` or its submodules in
+    ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}" for name in names
+                  if name == package or name.startswith(package + ".")]
+    return found
+
+
 def test_closed_forms_use_no_adaptive_quadrature():
     # adaptive quadrature belongs to the independent oracle only; the
     # closed forms and special functions use fixed-node rules
-    found = []
-    for path in SOURCES:
-        if path.name not in ("analytic.py", "specfun.py"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}" for name in names
-                      if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
     assert {path.name for path in SOURCES} >= {"analytic.py", "specfun.py"}
+    found = [hit for path in SOURCES if path.name in ("analytic.py", "specfun.py")
+             for hit in _imports(path, "scipy.integrate")]
     assert not found, f"scipy.integrate imported by: {', '.join(found)}"
+
+
+def test_no_module_imports_scipy_optimize():
+    # the power solver is analytic._brent; scipy.optimize (with the
+    # scipy.linalg it loads) would cost every sweep about 0.25 s of start-up
+    found = [hit for path in SOURCES for hit in _imports(path, "scipy.optimize")]
+    assert not found, f"scipy.optimize imported by: {', '.join(found)}"
 
 
 def _arrays(value):
