@@ -89,8 +89,8 @@ class SecondaryCdfInputs:
     x: FadingLink          # R  <-> S2
     w: FadingLink          # R  <-> S1
     y: FadingLink          # PT -> R
-    z: FadingLink          # PT -> S1
-    v: FadingLink          # PT -> S2
+    z: FadingLink | None   # PT -> S1 (None in Scenario (b))
+    v: FadingLink | None   # PT -> S2 (None in Scenario (b))
     gamma_bar_p: float
     gamma_bar_s: float
     gamma_bar_r: float
@@ -296,8 +296,8 @@ class _Rates:
         self.qx = inp.x.m / (inp.x.mean_gain * gr)
         self.qw = inp.w.m / (inp.w.mean_gain * gr)
         self.by = inp.y.m * gs / (gr * gp * inp.y.mean_gain)
-        self.bz = inp.z.m / (gp * inp.z.mean_gain)
-        self.bv = inp.v.m / (gp * inp.v.mean_gain)
+        self.bz = None if inp.z is None else inp.z.m / (gp * inp.z.mean_gain)
+        self.bv = None if inp.v is None else inp.v.m / (gp * inp.v.mean_gain)
 
     def kernel_rate(self, b: float) -> float:
         """Exponential decay rate of e^{-b g} chi1(g) chi2(g) in g."""

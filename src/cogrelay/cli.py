@@ -40,8 +40,6 @@ __all__ = ["SweepPlan", "run_sweep", "write_csv", "run_selfcheck", "main"]
 CSV_HEADER = ("x_db,threshold,K,gamma_bar_p,gamma_bar_s,gamma_bar_r,"
               "analytic_oc,mc_oc,mc_oc_ci,analytic_asep,mc_asep,mc_asep_ci,error")
 
-_DUMMY = FadingLink(1, 1.0)
-
 
 def _fmt(x) -> str:
     if x is None:
@@ -78,12 +76,12 @@ class SweepRow:
 def _secondary_inputs(scenario: NetworkScenario, gp: float, gs: float,
                       gr: float) -> list[SecondaryCdfInputs]:
     """One cdf parameter set per relay; the direct interference links are
-    placeholders when the scenario omits them (they are never read)."""
+    None when the scenario omits them (Scenario (b))."""
     return [
         SecondaryCdfInputs(
             x=scenario.s2_relay[k], w=scenario.s1_relay[k],
             y=scenario.pt_relay[k],
-            z=scenario.pt_s1 or _DUMMY, v=scenario.pt_s2 or _DUMMY,
+            z=scenario.pt_s1, v=scenario.pt_s2,
             gamma_bar_p=gp, gamma_bar_s=gs, gamma_bar_r=gr,
         )
         for k in range(scenario.K)

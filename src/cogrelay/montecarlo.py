@@ -142,48 +142,42 @@ def _amp_gain_sq(draw, powers: PowerProfile):
     return 1.0 / (p * draw["y"] + s * draw["w"] + s * draw["x"] + 1.0)
 
 
+def _direction(draw, powers: PowerProfile, g2, x: str, w: str, z: str):
+    """SINR at the source that hears the relay over link ``w``, its partner
+    over ``x`` and the primary transmitter over ``z``: exact for the
+    amplifier gain ``g2``, the upper bound when ``g2`` is None.  Source 1
+    reads (x, w, z) and source 2 (w, x, v), the swap of
+    ``SecondaryCdfInputs.swapped``."""
+    p, s, rl = powers.gamma_bar_p, powers.gamma_bar_s, powers.gamma_bar_r
+    x, w, z = draw[x], draw[w], draw[z]
+    if g2 is not None:
+        num = g2 * rl * s * x * w
+        den = p * z + g2 * rl * p * draw["y"] * w + g2 * rl * w + 1.0
+        return num / den
+    y, z = (rl * p / s) * draw["y"], p * z
+    return rl * np.minimum(x / (z + y + rl / s + 1.0), w / (z + 1.0))
+
+
 def exact_sinr_s1(draw, powers: PowerProfile):
     """Exact SINR at source 1, assembled term by term from the received
     signal: desired two-hop component over primary direct interference,
     amplified primary interference, amplified relay noise and local
     noise."""
-    p, s, rl = powers.gamma_bar_p, powers.gamma_bar_s, powers.gamma_bar_r
-    g2 = _amp_gain_sq(draw, powers)
-    num = g2 * rl * s * draw["x"] * draw["w"]
-    den = p * draw["z"] + g2 * rl * p * draw["y"] * draw["w"] + g2 * rl * draw["w"] + 1.0
-    return num / den
+    return _direction(draw, powers, _amp_gain_sq(draw, powers), "x", "w", "z")
 
 
 def exact_sinr_s2(draw, powers: PowerProfile):
-    p, s, rl = powers.gamma_bar_p, powers.gamma_bar_s, powers.gamma_bar_r
-    g2 = _amp_gain_sq(draw, powers)
-    num = g2 * rl * s * draw["w"] * draw["x"]
-    den = p * draw["v"] + g2 * rl * p * draw["y"] * draw["x"] + g2 * rl * draw["x"] + 1.0
-    return num / den
-
-
-def _normalized(draw, powers: PowerProfile, suffix: str = ""):
-    p, s, rl = powers.gamma_bar_p, powers.gamma_bar_s, powers.gamma_bar_r
-    y = (rl * p / s) * draw[f"y{suffix}"]
-    return y, rl / s
+    return _direction(draw, powers, _amp_gain_sq(draw, powers), "w", "x", "v")
 
 
 def bounded_sinr_s1(draw, powers: PowerProfile):
     """Tractable upper bound gr * min(X/(Z+Y+beta+1), W/(Z+1)); dominates
     the exact SINR on every draw."""
-    rl = powers.gamma_bar_r
-    y, beta = _normalized(draw, powers)
-    z = powers.gamma_bar_p * draw["z"]
-    return rl * np.minimum(draw["x"] / (z + y + beta + 1.0),
-                           draw["w"] / (z + 1.0))
+    return _direction(draw, powers, None, "x", "w", "z")
 
 
 def bounded_sinr_s2(draw, powers: PowerProfile):
-    rl = powers.gamma_bar_r
-    y, beta = _normalized(draw, powers)
-    v = powers.gamma_bar_p * draw["v"]
-    return rl * np.minimum(draw["w"] / (v + y + beta + 1.0),
-                           draw["x"] / (v + 1.0))
+    return _direction(draw, powers, None, "w", "x", "v")
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +206,9 @@ def _exact_pair_min_b(draw, powers: PowerProfile, k: int):
 
 
 def _bounded_pair_min_b(draw, powers: PowerProfile, k: int):
-    rl = powers.gamma_bar_r
-    y, beta = _normalized(draw, powers, str(k))
-    return rl * np.minimum(draw[f"x{k}"], draw[f"w{k}"]) / (y + beta + 1.0)
+    p, s, rl = powers.gamma_bar_p, powers.gamma_bar_s, powers.gamma_bar_r
+    y = (rl * p / s) * draw[f"y{k}"]
+    return rl * np.minimum(draw[f"x{k}"], draw[f"w{k}"]) / (y + rl / s + 1.0)
 
 
 def e2e_sinr(draw, powers: PowerProfile, scenario: NetworkScenario,
@@ -223,30 +217,31 @@ def e2e_sinr(draw, powers: PowerProfile, scenario: NetworkScenario,
     directions, Scenario (b) the best-relay max over per-relay minima.
     Public API for scoring a draw outside the estimators; the package
     itself does not call it."""
-    return _sinr(draw, powers, scenario, scenario.K, sinr_kind, "e2e")
+    return _sinrs(draw, powers, scenario, scenario.K, _is_exact(sinr_kind), True)[1]
 
 
-def _sinr(draw, powers, scenario, K, sinr_kind, metric, s1=None):
-    # metric 'e2e' or 's1' (source 1 direction, Scenario (a) only); ``s1``
-    # is the source-1 SINR of this draw when the caller already has it.
-    # Scenario (b) selects the best of relays 0..K-1.
+def _is_exact(sinr_kind: str) -> bool:
     if sinr_kind not in ("exact", "bounded"):
         raise ValueError(f"sinr_kind must be 'exact' or 'bounded', got {sinr_kind!r}")
-    if metric not in ("e2e", "s1"):
-        raise ValueError(f"metric must be 'e2e' or 's1', got {metric!r}")
-    exact = sinr_kind == "exact"
+    return sinr_kind == "exact"
+
+
+def _sinrs(draw, powers, scenario, K, exact, e2e):
+    """The SEP's and the outage's SINR of one row, each computed once.
+    Scenario (a): source 1's SINR, and for the outage its min with source
+    2's if ``e2e``, both from one amplifier gain.  Scenario (b): the best
+    of relays 0..K-1 for both."""
     if scenario.scenario is Scenario.A:
-        if s1 is None:
-            s1 = (exact_sinr_s1 if exact else bounded_sinr_s1)(draw, powers)
-        s2 = exact_sinr_s2 if exact else bounded_sinr_s2
-        return s1 if metric == "s1" else np.minimum(s1, s2(draw, powers))
-    if metric == "s1":
-        raise ValueError("the single-direction metric applies to Scenario (a) only")
+        g2 = _amp_gain_sq(draw, powers) if exact else None
+        s1 = _direction(draw, powers, g2, "x", "w", "z")
+        if not e2e:
+            return s1, s1
+        return s1, np.minimum(s1, _direction(draw, powers, g2, "w", "x", "v"))
     per_relay = _exact_pair_min_b if exact else _bounded_pair_min_b
     out = per_relay(draw, powers, 0)
     for k in range(1, K):
         np.maximum(out, per_relay(draw, powers, k), out=out)
-    return out
+    return out, out
 
 
 def _chunks(trials: int):
@@ -284,36 +279,37 @@ def _proportion(hits: int, trials: int, seed: int) -> Estimate:
     return Estimate(value=p, trials=trials, ci_half_width=ci, seed=seed)
 
 
-def _score(draw, powers, K, scenario, theta, mod, sinr_kind, metric, sep_metric):
+def _score(draw, powers, K, scenario, theta, mod, exact, e2e):
     # One row's outage hits, SEP sum and SEP sum of squares on this slice.
+    sep_sinr, sinr = _sinrs(draw, powers, scenario, K, exact, e2e and theta is not None)
     hits = total = total_sq = 0.0
-    s1 = None
     if mod is not None:
-        sinr = _sinr(draw, powers, scenario, K, sinr_kind, sep_metric)
-        s1 = sinr if sep_metric == "s1" else None
-        sep = 0.5 * mod.a * erfc(np.sqrt(mod.b * sinr))
+        sep = 0.5 * mod.a * erfc(np.sqrt(mod.b * sep_sinr))
         total = sep.sum()
         total_sq = (sep * sep).sum()
     if theta is not None:
-        sinr = _sinr(draw, powers, scenario, K, sinr_kind, metric, s1)
         hits = np.count_nonzero(sinr < theta)
     return hits, total, total_sq
 
 
 def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]],
                   theta: float | None = None, mod: ModulationSpec | None = None,
-                  trials: int = DEFAULT_TRIALS, seed: int = 0,
-                  sinr_kind: str = "exact", metric: str = "e2e",
-                  sep_metric: str = "s1") -> list[tuple[Estimate | None, Estimate | None]]:
+                  trials: int = DEFAULT_TRIALS, seed: int = 0, sinr_kind: str = "exact",
+                  metric: str = "e2e") -> list[tuple[Estimate | None, Estimate | None]]:
     """Outage and ASEP estimates of every row, all scored on one draw of
     each trial slice.
 
     A row is a pair (K, powers): its relay count, at most ``scenario.K``,
     and its power profile; it reads the first K relays of ``scenario``.
     Per row: the outage is the fraction of trials whose ``metric`` SINR
-    falls below ``theta``, the ASEP the average of the conditional SEP
-    kernel a/2 * erfc(sqrt(b*gamma)) of ``mod`` over the ``sep_metric``
-    SINR; either is None when its ``theta`` or ``mod`` is not given."""
+    (``"e2e"``, or ``"s1"`` for source 1's in Scenario (a) only) falls
+    below ``theta``, the ASEP the average of the conditional SEP kernel
+    a/2 * erfc(sqrt(b*gamma)) of ``mod`` over source 1's SINR in Scenario
+    (a) and the selected relay's end-to-end SINR in Scenario (b); either
+    is None when its ``theta`` or ``mod`` is not given."""
+    exact = _is_exact(sinr_kind)
+    if metric not in ("e2e", "s1") or (metric == "s1" and scenario.scenario is Scenario.B):
+        raise ValueError(f"metric must be 'e2e', or 's1' in Scenario (a), got {metric!r}")
     if not rows:
         return []
     if not all(1 <= K <= scenario.K for K, _ in rows):
@@ -328,8 +324,8 @@ def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]
         # one (hits, SEP sum, SEP sum of squares) row per row; the hit
         # counts stay exact in float64
         draw = draw_gains(scenario, seed, n, start, names)
-        return np.array([_score(draw, powers, K, scenario, theta, mod, sinr_kind,
-                                metric, sep_metric) for K, powers in rows])
+        return np.array([_score(draw, powers, K, scenario, theta, mod, exact,
+                                metric == "e2e") for K, powers in rows])
 
     out = []
     for hits, total, total_sq in _tally(trials, leaf).tolist():
@@ -354,12 +350,12 @@ def estimate_outage(scenario: NetworkScenario, powers: PowerProfile,
 
 def estimate_asep(scenario: NetworkScenario, powers: PowerProfile,
                   mod: ModulationSpec, trials: int = DEFAULT_TRIALS,
-                  seed: int = 0, sinr_kind: str = "exact",
-                  metric: str = "s1") -> Estimate:
+                  seed: int = 0, sinr_kind: str = "exact") -> Estimate:
     """Average of the conditional SEP kernel a/2 * erfc(sqrt(b*gamma))
-    over the per-trial SINR."""
+    over the per-trial SINR of source 1 in Scenario (a) and of the
+    selected relay, end to end, in Scenario (b)."""
     return estimate_rows(scenario, [(scenario.K, powers)], mod=mod, trials=trials,
-                         seed=seed, sinr_kind=sinr_kind, sep_metric=metric)[0][1]
+                         seed=seed, sinr_kind=sinr_kind)[0][1]
 
 
 # ``link_table``'s stream ids for these links (``l`` is relay 0's), so a

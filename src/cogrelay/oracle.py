@@ -215,7 +215,7 @@ def selection_oracle(per_relay_inputs: list[SecondaryCdfInputs], K: int,
     for inp in per_relay_inputs:
         gr, gs = inp.gamma_bar_r, inp.gamma_bar_s
         beta = gr / gs
-        mean_y, _, _ = _scaled_means(inp)
+        mean_y = gr * inp.gamma_bar_p / gs * inp.y.mean_gain
         x, w, y = inp.x, inp.w, inp.y
 
         def h(yv):

@@ -222,7 +222,7 @@ def test_criterion_5_symbol_error_probability():
         worst_rel = max(worst_rel, abs(res.value - ref) / ref)
         est = mc.estimate_asep(_scenario_for(inp), _powers_for(inp), mod,
                                trials=1_000_000, seed=5000 + done,
-                               sinr_kind="bounded", metric="s1")
+                               sinr_kind="bounded")
         sigma = est.ci_half_width / 1.96
         worst_dev = max(worst_dev, abs(est.value - res.value) / sigma)
     degen = SecondaryCdfInputs(

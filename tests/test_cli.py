@@ -210,7 +210,7 @@ class TestRunSweep:
             if sc.scenario is Scenario.A:
                 sep = montecarlo.estimate_asep(
                     sc, powers, mpsk_constants(4), trials=plan.trials,
-                    seed=plan.seed, sinr_kind="exact", metric="s1")
+                    seed=plan.seed, sinr_kind="exact")
                 assert (r.mc_asep, r.mc_asep_ci) == (sep.value, sep.ci_half_width)
             else:
                 assert r.mc_asep is None and r.mc_asep_ci is None

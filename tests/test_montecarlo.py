@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
+from scipy.special import erfc
 
 import cogrelay.montecarlo as mc
 from cogrelay.model import (FadingLink as L, NetworkScenario, PowerProfile,
@@ -45,7 +46,7 @@ POWERS = PowerProfile(gamma_bar_p=10.0, gamma_bar_s=8.0, gamma_bar_r=12.0,
 def _inputs(sc: NetworkScenario, k: int = 0) -> SecondaryCdfInputs:
     return SecondaryCdfInputs(
         x=sc.s2_relay[k], w=sc.s1_relay[k], y=sc.pt_relay[k],
-        z=sc.pt_s1 or L(1, 1.0), v=sc.pt_s2 or L(1, 1.0),
+        z=sc.pt_s1, v=sc.pt_s2,
         gamma_bar_p=POWERS.gamma_bar_p, gamma_bar_s=POWERS.gamma_bar_s,
         gamma_bar_r=POWERS.gamma_bar_r)
 
@@ -143,7 +144,7 @@ class TestSlices:
             (scenario_a(z_gain=0.3, v_gain=0.2), [(1, POWERS), (1, self.P2)],
              dict(mod=mpsk_constants(4))),
             (scenario_b(K=2), [(1, POWERS), (2, POWERS), (2, self.P2)],
-             dict(mod=mpsk_constants(2), sep_metric="e2e")),
+             dict(mod=mpsk_constants(2))),
         ]
         for sc, rows, kw in cases:
             ref = mc.estimate_rows(sc, rows, theta=2.0, trials=100_003, seed=21, **kw)
@@ -185,6 +186,54 @@ class TestSlices:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestOnePass:
+    """Every SINR a row reads comes from one evaluation per row and slice,
+    and bad arguments are rejected before any draw."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls, fn = [], getattr(mc, name)
+        monkeypatch.setattr(mc, name, lambda *args: calls.append(args) or fn(*args))
+        return calls
+
+    def test_one_amplifier_gain_per_row_and_slice(self, monkeypatch):
+        calls = self._count(monkeypatch, "_amp_gain_sq")
+        monkeypatch.setattr(mc, "_SLICE", 1024)   # 4096 trials in 4 slices
+        mc.estimate_rows(scenario_a(z_gain=0.3, v_gain=0.2),
+                         [(1, POWERS), (1, TestSlices.P2)], theta=2.0,
+                         mod=mpsk_constants(4), trials=4096, seed=25)
+        assert len(calls) == 2 * 4
+
+    def test_one_pair_min_per_relay_row_and_slice(self, monkeypatch):
+        calls = self._count(monkeypatch, "_exact_pair_min_b")
+        monkeypatch.setattr(mc, "_SLICE", 1024)
+        mc.estimate_rows(scenario_b(K=2), [(1, POWERS), (2, POWERS)], theta=2.0,
+                         mod=mpsk_constants(2), trials=4096, seed=26)
+        assert sorted(args[2] for args in calls) == [0] * 8 + [1] * 4
+
+    def test_scenario_b_sep_is_over_the_end_to_end_sinr(self):
+        sc, mod, n = scenario_b(K=2), mpsk_constants(2), 5_000
+        [(oc, sep)] = mc.estimate_rows(sc, [(2, POWERS)], theta=2.0, mod=mod,
+                                       trials=n, seed=27)
+        sinr = mc.e2e_sinr(mc.draw_gains(sc, seed=27, trials=n), POWERS, sc, "exact")
+        assert sep.value == (0.5 * mod.a * erfc(np.sqrt(mod.b * sinr))).sum() / n
+        assert oc.value == np.count_nonzero(sinr < 2.0) / n
+
+    @pytest.mark.parametrize("sc, kw", [
+        (scenario_a(), dict(sinr_kind="approximate")),
+        (scenario_a(), dict(metric="s2")),
+        (scenario_b(K=2), dict(metric="s1")),
+    ], ids=["sinr_kind", "metric", "s1_in_scenario_b"])
+    def test_bad_arguments_raise_before_any_draw(self, sc, kw, monkeypatch):
+        def draw_gains(*args, **kwargs):
+            raise AssertionError("gains were drawn")
+
+        monkeypatch.setattr(mc, "draw_gains", draw_gains)
+        with pytest.raises(ValueError):
+            mc.estimate_rows(sc, [(1, POWERS)], theta=2.0, mod=mpsk_constants(2),
+                             trials=5_000, **kw)
 
 
 class TestSinr:
@@ -231,6 +280,20 @@ class TestSinr:
             s2 = num / (g2 * r * p * y * x + g2 * r * x + 1.0)
             np.testing.assert_allclose(mc._exact_pair_min_b(draw, POWERS, k),
                                        np.minimum(s1, s2), rtol=1e-12, atol=0.0)
+
+    def test_s2_formulas_match_term_by_term(self):
+        # source 2 hears the relay over x, its partner over w and the
+        # primary transmitter over v
+        sc = scenario_a(z_gain=0.5, v_gain=0.5)
+        draw = mc.draw_gains(sc, seed=17, trials=5_000)
+        p, s, r = POWERS.gamma_bar_p, POWERS.gamma_bar_s, POWERS.gamma_bar_r
+        x, w, y, v = draw["x"], draw["w"], draw["y"], draw["v"]
+        g2 = 1.0 / (p * y + s * w + s * x + 1.0)
+        exact = g2 * r * s * w * x / (p * v + g2 * r * p * y * x + g2 * r * x + 1.0)
+        yn, beta = (r * p / s) * y, r / s
+        bounded = r * np.minimum(w / (p * v + yn + beta + 1.0), x / (p * v + 1.0))
+        assert np.array_equal(mc.exact_sinr_s2(draw, POWERS), exact)
+        assert np.array_equal(mc.bounded_sinr_s2(draw, POWERS), bounded)
 
     def test_e2e_is_min_of_directions(self):
         sc = scenario_a()

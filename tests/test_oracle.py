@@ -56,7 +56,7 @@ class TestSelfConsistency:
 class TestSelection:
     def test_identical_relays_power_law(self):
         inp = SecondaryCdfInputs(
-            x=L(2, 0.9), w=L(2, 1.1), y=L(1, 1.0), z=L(1, 1.0), v=L(1, 1.0),
+            x=L(2, 0.9), w=L(2, 1.1), y=L(1, 1.0), z=None, v=None,
             gamma_bar_p=10.0, gamma_bar_s=8.0, gamma_bar_r=12.0)
         one = oracle.selection_oracle([inp], 1, 1.5)
         three = oracle.selection_oracle([inp] * 3, 3, 1.5)
