@@ -1,16 +1,22 @@
 """Closed-form outage and symbol-error expressions.
 
-All expressions are finite multi-index sums obtained by expanding the
-integer-shape Gamma survival series inside the relevant expectations and
-integrating term by term.  The printed forms in the source material
-contain transcription slips, so every function here is assembled
-directly from the underlying expectation integrals; the quadrature
-oracles in :mod:`cogrelay.oracle` and the Monte Carlo engine arbitrate.
+Every finite-sum closed form here is one expectation,
+E[prod_f Q(m_f, c_f L)], where Q is the integer-shape Gamma survival and
+L = kappa + sum_i a_i G_i is a sum of independent Gamma gains: the two
+primary outages, chi1 and chi2 of Scenario (a) and the relay-pair
+survival of Scenario (b) are calls of one term engine,
+``_expected_survival``, whose terms come from the multinomial theorem and
+the Gamma Laplace transform.  The end-to-end survival of Scenario (a),
+which splits on V, keeps its own term table.  The printed forms in the
+source material contain transcription slips, so every function is
+assembled directly from the underlying expectation integrals; the
+quadrature oracles in :mod:`cogrelay.oracle` and the Monte Carlo engine
+arbitrate.
 
-Term products are put together in the log domain, so integer severities
-up to ~8 and SNRs up to ~40 dB stay well inside double range.  Sums at a
-scalar theta are compensated (``math.fsum``); sums over an array of
-thetas and the double-exponential kernel rule are numpy's pairwise sums.
+Terms are put together in the log domain, so integer severities up to ~8
+and SNRs up to ~40 dB stay well inside double range.  Sums at a scalar
+theta are compensated (``math.fsum``); sums over an array of thetas and
+the double-exponential kernel rule are numpy's pairwise sums.
 """
 
 from __future__ import annotations
@@ -19,10 +25,11 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import product
 from math import comb, exp, fsum, lgamma, log
 
 import numpy as np
-from scipy.special import gamma, xlogy
+from scipy.special import gamma
 
 from .errors import Infeasible, NearDegeneratePoles, NumericalInstability
 from .model import FadingLink, ModulationSpec
@@ -49,13 +56,18 @@ CLAMP_TOL = 1e-12
 
 # Largest cancellation ratio sum|term| / |sum term| of the ASEP closed
 # form that is trusted.  Its roundoff error is about ratio x 1e-16, so
-# this limit keeps ~1e-10 accuracy; above it asep_scenario_a returns
+# this limit keeps ~1e-11 accuracy; above it asep_scenario_a returns
 # asep_kernel_scenario_a instead.
-CANCELLATION_LIMIT = 1e6
+CANCELLATION_LIMIT = 1e5
 
-# Double-exponential rule of asep_kernel_scenario_a: 521 nodes at
-# h = 1/16 (at h = 1/8 the kernel is off by 3e-10).
-_KERNEL_OFFSETS, _KERNEL_WEIGHTS = de_rule(1.0 / 16.0, 260)
+# Double-exponential rule of asep_kernel_scenario_a: 201 nodes at
+# h = 1/16 (at h = 1/8 the kernel is off by 3e-10; nodes beyond
+# |u| = 6.25 see less than e^-250 of the integrand's peak).
+_KERNEL_OFFSETS, _KERNEL_WEIGHTS = de_rule(1.0 / 16.0, 100)
+
+# Stands in for log 0 in the term engine: times an exponent 0 it adds 0
+# (0**0 = 1), times a positive one it makes the term's exp exactly 0.
+_LOG_ZERO = -1e300
 
 
 @dataclass(frozen=True)
@@ -106,13 +118,72 @@ class SecondaryCdfInputs:
         return replace(self, x=self.w, w=self.x, z=self.v, v=self.z)
 
 
-def _log_pow(base: float, expo: float) -> float:
-    """expo * log(base) with the 0**0 = 1 convention."""
-    if expo == 0:
-        return 0.0
-    if base == 0.0:
-        return -math.inf
-    return expo * log(base)
+def _frozen(*columns) -> tuple[np.ndarray, ...]:
+    """Read-only float arrays of ``columns``, safe to share from a cache."""
+    out = tuple(np.array(c, dtype=float) for c in columns)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=64)
+def _term_table(orders: tuple[int, ...], shapes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Terms of ``_expected_survival`` for factor orders m_f and gain shapes
+    m_i: per term the exponents (n_f..., j_i..., m_i..., 1) of the logs
+    that a call forms, and the theta-free log constant
+    ln[C(N; j_0, j...) Gamma(m_i+j_i)... / (n_f!... Gamma(m_i)...)] with
+    N = sum n_f and j_0 = N - sum j_i.  Rows run over n (first factor
+    slowest), then over the j_i lexicographically; each constant is summed
+    left to right as written, the multinomial as nested binomials."""
+    rows, const = [], []
+    for ns in product(*map(range, orders)):
+        total = sum(ns)
+        for js in product(range(total + 1), repeat=len(shapes)):
+            if sum(js) > total:
+                continue
+            rest, c = total, 0.0
+            for j in js:
+                c += log(comb(rest, j))
+                rest -= j
+            for n in ns:
+                c -= lgamma(n + 1)
+            for m, j in zip(shapes, js):
+                c += lgamma(m + j)
+                c -= lgamma(m)
+            rows.append((*ns, *js, *shapes, 1))
+            const.append(c)
+    return _frozen(rows, const)
+
+
+def _expected_survival(factors, kappa: float, gains):
+    """E[prod_f Q(m_f, c_f L)] for L = kappa + sum_i a_i G_i, where Q(m, x) =
+    e^{-x} sum_{n<m} x^n/n! is the integer-shape Gamma survival and the
+    G_i ~ Gamma(m_i, rate b_i) are independent.  ``factors`` holds the
+    pairs (m_f, c_f) and ``gains`` the triples (m_i, a_i, b_i); a gain with
+    a_i = 0 is dropped.  The c_f are scalars, or 1-D arrays of one shape
+    over which the result is elementwise; kappa > 0 and the a_i, b_i are
+    scalars.
+
+    With s = sum c_f, (c_f L)^{n_f} = (c_f kappa)^{n_f} (1 + sum_i a_i G_i /
+    kappa)^{n_f}, the multinomial theorem and E[G^j e^{-s a G}] =
+    b^m Gamma(m+j) / (Gamma(m) (b + s a)^{m+j}) make every term
+    e^{-s kappa} times powers of c_f kappa, a_i / (kappa (b_i + s a_i)) and
+    b_i / (b_i + s a_i) times a constant: in the log domain one matrix
+    product with the tabled exponents, where log 0 is floored so that
+    0**0 = 1.  Scalar c_f sum the terms with ``fsum``, arrays pairwise.
+    """
+    gains = [g for g in gains if g[1] != 0.0]
+    orders, cs = zip(*factors)
+    s = sum(cs)
+    expo, const = _term_table(orders, tuple(m for m, _, _ in gains))
+    x = np.array([*(c * kappa for c in cs),
+                  *(a / (kappa * (b + s * a)) for _, a, b in gains),
+                  *(b / (b + s * a) for _, a, b in gains)])
+    logs = np.full((len(x) + 1, *x.shape[1:]), _LOG_ZERO)
+    np.log(x, out=logs[:-1], where=x > 0.0)
+    logs[-1] = -s * kappa
+    terms = np.exp(logs.T @ expo.T + const)
+    return fsum(terms.tolist()) if terms.ndim == 1 else terms.sum(axis=-1)
 
 
 def _clamp_probability(p: float, where: str) -> float:
@@ -135,54 +206,24 @@ def _asep_value(kernel: float, mod: ModulationSpec, where: str) -> float:
 
 def primary_outage(inputs: PrimaryOutageInputs) -> float:
     """Outage probability of the primary receiver in the multiple-access
-    phase, where both secondary sources interfere.
-
-    This is E_{F,G}[F_E(theta/gp * (gs1 F + gs2 G + 1))] with every
-    variable Gamma distributed, reduced to a finite triple sum.
-    """
-    me = inputs.e.m
-    c = me * inputs.threshold / (inputs.e.mean_gain * inputs.gamma_bar_p)
-    af, ag = inputs.f.rate, inputs.g.rate
-    mf, mg = inputs.f.m, inputs.g.m
-    s1, s2 = inputs.gamma_bar_s1, inputs.gamma_bar_s2
-    terms = []
-    for ell in range(me):
-        for t1 in range(ell + 1):
-            for t2 in range(ell - t1 + 1):
-                lt = (
-                    -c
-                    + _log_pow(c, ell) - lgamma(ell + 1)
-                    + log(comb(ell, t1)) + log(comb(ell - t1, t2))
-                    + _log_pow(s1, t1) + _log_pow(s2, t2)
-                    + mf * log(af) + lgamma(mf + t1) - lgamma(mf)
-                    - (mf + t1) * log(af + c * s1)
-                    + mg * log(ag) + lgamma(mg + t2) - lgamma(mg)
-                    - (mg + t2) * log(ag + c * s2)
-                )
-                terms.append(exp(lt))
-    return _clamp_probability(1.0 - fsum(terms), "primary_outage")
+    phase, where both secondary sources interfere:
+    E_{F,G}[F_E(theta/gp * (gs1 F + gs2 G + 1))]."""
+    e = inputs.e
+    c = e.m * inputs.threshold / (e.mean_gain * inputs.gamma_bar_p)
+    survival = _expected_survival(
+        [(e.m, c)], 1.0, [(inputs.f.m, inputs.gamma_bar_s1, inputs.f.rate),
+                          (inputs.g.m, inputs.gamma_bar_s2, inputs.g.rate)])
+    return _clamp_probability(1.0 - survival, "primary_outage")
 
 
 def relay_phase_outage(inputs: PrimaryOutageInputs) -> float:
     """Outage probability of the primary receiver in the broadcast phase,
     where only the relay interferes: E_L[F_E(theta/gp * (gr L + 1))]."""
-    me = inputs.e.m
-    c = me * inputs.threshold / (inputs.e.mean_gain * inputs.gamma_bar_p)
-    al, ml = inputs.l.rate, inputs.l.m
-    gr = inputs.gamma_bar_r
-    terms = []
-    for ell in range(me):
-        for i in range(ell + 1):
-            lt = (
-                -c
-                + _log_pow(c, ell) - lgamma(ell + 1)
-                + log(comb(ell, i))
-                + _log_pow(gr, ell - i)
-                + ml * log(al) + lgamma(ml + ell - i) - lgamma(ml)
-                - (ml + ell - i) * log(al + c * gr)
-            )
-            terms.append(exp(lt))
-    return _clamp_probability(1.0 - fsum(terms), "relay_phase_outage")
+    e = inputs.e
+    c = e.m * inputs.threshold / (e.mean_gain * inputs.gamma_bar_p)
+    survival = _expected_survival(
+        [(e.m, c)], 1.0, [(inputs.l.m, inputs.gamma_bar_r, inputs.l.rate)])
+    return _clamp_probability(1.0 - survival, "relay_phase_outage")
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float, what: str):
@@ -304,66 +345,19 @@ class _Rates:
         return b + self.qx * (self.beta + 1.0) + self.qw
 
 
-def _frozen(*columns) -> tuple[np.ndarray, ...]:
-    """Read-only float arrays of ``columns``, safe to share from a cache."""
-    out = tuple(np.array(c, dtype=float) for c in columns)
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=64)
-def _chi1_table(mx: int, my: int, mz: int) -> tuple[np.ndarray, ...]:
-    """Terms (n, i1, i2) of the chi1 sum and their theta-independent log
-    weight ln[C(n,i1) C(n-i1,i2) Gamma(my+i1) Gamma(mz+i2) / (n! Gamma(my) Gamma(mz))]."""
-    idx = [(n, i1, i2) for n in range(mx) for i1 in range(n + 1)
-           for i2 in range(n - i1 + 1)]
-    const = [log(comb(n, i1)) + log(comb(n - i1, i2)) - lgamma(n + 1)
-             + lgamma(my + i1) - lgamma(my) + lgamma(mz + i2) - lgamma(mz)
-             for n, i1, i2 in idx]
-    return _frozen(*zip(*idx), const)
-
-
-@lru_cache(maxsize=64)
-def _chi2_table(mw: int, mz: int) -> tuple[np.ndarray, ...]:
-    """Terms (k, k1) of the chi2 sum and their theta-independent log
-    weight ln[C(k,k1) Gamma(mz+k1) / (k! Gamma(mz))]."""
-    idx = [(k, k1) for k in range(mw) for k1 in range(k + 1)]
-    const = [log(comb(k, k1)) - lgamma(k + 1) + lgamma(mz + k1) - lgamma(mz)
-             for k, k1 in idx]
-    return _frozen(*zip(*idx), const)
-
-
-def _sum_terms(terms: np.ndarray):
-    """Sum over the trailing term axis: compensated for a scalar theta,
-    pairwise for an array of thetas."""
-    return fsum(terms.tolist()) if terms.ndim == 1 else terms.sum(axis=-1)
-
-
 def _chi1(inp: SecondaryCdfInputs, theta):
-    """E_{Z,Y}[Pr{X > (Z + Y + beta + 1) theta / gr}] as a finite sum,
-    for a scalar ``theta`` or elementwise over an array."""
+    """E_{Z,Y}[Pr{X > (Z + Y + beta + 1) theta / gr}], for a scalar
+    ``theta`` or elementwise over an array."""
     r = _Rates(inp)
-    n, i1, i2, const = _chi1_table(inp.x.m, inp.y.m, inp.z.m)
-    my, mz = inp.y.m, inp.z.m
-    cx = r.qx * np.asarray(theta, dtype=float)[..., None]
-    lt = (const - cx * (r.beta + 1.0)
-          + (n - i1 - i2) * log(r.beta + 1.0) + xlogy(n, cx)
-          + my * log(r.by) - (my + i1) * np.log(cx + r.by)
-          + mz * log(r.bz) - (mz + i2) * np.log(cx + r.bz))
-    return _sum_terms(np.exp(lt))
+    return _expected_survival([(inp.x.m, r.qx * theta)], r.beta + 1.0,
+                              [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)])
 
 
 def _chi2(inp: SecondaryCdfInputs, theta):
-    """E_Z[Pr{W > (Z + 1) theta / gr}] as a finite sum, for a scalar
-    ``theta`` or elementwise over an array."""
+    """E_Z[Pr{W > (Z + 1) theta / gr}], for a scalar ``theta`` or
+    elementwise over an array."""
     r = _Rates(inp)
-    k, k1, const = _chi2_table(inp.w.m, inp.z.m)
-    mz = inp.z.m
-    cw = r.qw * np.asarray(theta, dtype=float)[..., None]
-    lt = (const - cw + xlogy(k, cw)
-          + mz * log(r.bz) - (mz + k1) * np.log(cw + r.bz))
-    return _sum_terms(np.exp(lt))
+    return _expected_survival([(inp.w.m, r.qw * theta)], 1.0, [(inp.z.m, 1.0, r.bz)])
 
 
 def cdf_scenario_a(inputs: SecondaryCdfInputs, theta: float) -> float:
@@ -469,28 +463,13 @@ def cdf_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float) -> float:
 # Secondary network, Scenario (b)
 # ---------------------------------------------------------------------------
 
-def _relay_pair_survival(inp: SecondaryCdfInputs, theta: float) -> float:
-    """Survival at ``theta`` of the per-relay pair SINR
-    gr * min(X, W) / (Y + beta + 1) (source nodes noise-limited)."""
+def _relay_pair_survival(inp: SecondaryCdfInputs, theta):
+    """Survival at ``theta`` (a scalar, or elementwise over an array) of
+    the per-relay pair SINR gr * min(X, W) / (Y + beta + 1) (source nodes
+    noise-limited)."""
     r = _Rates(inp)
-    cx, cw = r.qx * theta, r.qw * theta
-    mx, mw, my = inp.x.m, inp.w.m, inp.y.m
-    terms = []
-    for n in range(mx):
-        for n1 in range(mw):
-            for i1 in range(n + n1 + 1):
-                for i2 in range(n + n1 - i1 + 1):
-                    lt = (
-                        -(cx + cw) * (r.beta + 1.0)
-                        + _log_pow(cx, n) - lgamma(n + 1)
-                        + _log_pow(cw, n1) - lgamma(n1 + 1)
-                        + log(comb(n + n1, i1)) + log(comb(n + n1 - i1, i2))
-                        + _log_pow(r.beta, i2)
-                        + my * log(r.by) + lgamma(my + i1) - lgamma(my)
-                        - (my + i1) * log(cx + cw + r.by)
-                    )
-                    terms.append(exp(lt))
-    return fsum(terms)
+    return _expected_survival([(inp.x.m, r.qx * theta), (inp.w.m, r.qw * theta)],
+                              r.beta + 1.0, [(inp.y.m, 1.0, r.by)])
 
 
 def cdf_scenario_b(inputs: list[SecondaryCdfInputs], K: int, theta: float) -> float:
@@ -530,7 +509,7 @@ class AsepResult:
 def asep_kernel_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> float:
     """ASEP of source 1 in Scenario (a), the value the sweep reports: the
     kernel average a/2 - a*sqrt(b)/(2 sqrt(pi)) int_0^inf e^{-b g} g^{-1/2} chi1 chi2 dg
-    of the direction cdf 1 - chi1 chi2, by a fixed 521-node double-exponential
+    of the direction cdf 1 - chi1 chi2, by a fixed 201-node double-exponential
     rule in x = ln g centred on the peak g = 1/(2 mu) of g^{1/2} e^{-mu g},
     where mu is the integrand's decay rate."""
     r = _Rates(inputs)
@@ -555,8 +534,11 @@ def _asep_terms(inputs: SecondaryCdfInputs, r: _Rates, alphas: np.ndarray,
     pole's multiplicity) are returned in that C order.
     """
     mx, mw, my, mz = inputs.x.m, inputs.w.m, inputs.y.m, inputs.z.m
-    n, i1, i2, c1 = _chi1_table(mx, my, mz)
-    k, k1, c2 = _chi2_table(mw, mz)
+    # the chi1 terms (n, i1, i2) and chi2 terms (k, k1) of the engine
+    expo, c1 = _term_table((mx,), (my, mz))
+    n, i1, i2 = expo.T[:3]
+    expo, c2 = _term_table((mw,), (mz,))
+    k, k1 = expo.T[:2]
     ln_n = (c1 + (n - i1 - i2) * log(r.beta + 1.0)
             + (n - my - i1 - mz - i2) * log(r.qx) + my * log(r.by) + mz * log(r.bz))
     ln_k = c2 + (k - mz - k1) * log(r.qw) + mz * log(r.bz)
@@ -595,7 +577,7 @@ def asep_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> AsepResu
     ``used_fallback``, in two cases: the three pole locations are too
     close for a stable expansion (NearDegeneratePoles), or the expansion's
     terms cancel, i.e. its cancellation ratio sum|term| / |sum term|
-    exceeds CANCELLATION_LIMIT = 1e6.
+    exceeds CANCELLATION_LIMIT = 1e5.
     """
     r = _Rates(inputs)
     alphas = np.array([r.bz / r.qw, r.bz / r.qx, r.by / r.qx])

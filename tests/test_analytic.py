@@ -450,12 +450,19 @@ class TestAsepCancellation:
             assert asep_kernel_scenario_a(inp, self.MOD) == pytest.approx(ref, rel=1e-12)
 
 
+def _log_pow(base, expo):
+    """expo * log(base) with the 0**0 = 1 convention."""
+    if expo == 0:
+        return 0.0
+    return -math.inf if base == 0.0 else expo * math.log(base)
+
+
 def _survival_side_loop(inp, theta):
     """``analytic._survival_side`` term by term in Python floats."""
     r = analytic._Rates(inp)
     cx = r.qx * theta
     mx, my, mz, mv = inp.x.m, inp.y.m, inp.z.m, inp.v.m
-    lp = analytic._log_pow
+    lp = _log_pow
     lc = lambda n, k: math.log(math.comb(n, k))
     lg = math.lgamma
     sub = []
@@ -506,9 +513,9 @@ def _shaped(mx, mw, my, mz, mv=2):
 # link shapes (x, w, y, z) of the analytic_highm workload, of example.cfg,
 # a high-severity set with m = 8, Rayleigh fading on every link, and a set
 # with mw > mx (a swapped axis of a per-shape grid shows there)
-SHAPES = pytest.mark.parametrize(
-    "shapes", [(6, 5, 4, 3), (3, 2, 2, 1), (8, 4, 3, 2), (1, 1, 1, 1), (2, 3, 1, 4)],
-    ids=["analytic_highm", "example", "m8", "rayleigh", "mw_above_mx"])
+SHAPE_CASES = {"analytic_highm": (6, 5, 4, 3), "example": (3, 2, 2, 1), "m8": (8, 4, 3, 2),
+               "rayleigh": (1, 1, 1, 1), "mw_above_mx": (2, 3, 1, 4)}
+SHAPES = pytest.mark.parametrize("shapes", list(SHAPE_CASES.values()), ids=list(SHAPE_CASES))
 
 
 @SHAPES
@@ -526,8 +533,10 @@ def _asep_terms_reference(inp, r, alphas, mu):
     without the cached layout: each multiplicity triple is expanded on its
     own by ``partial_fractions`` and each Psi is a scalar ``tricomi_u``."""
     mx, mw, my, mz = inp.x.m, inp.w.m, inp.y.m, inp.z.m
-    n, i1, i2, c1 = analytic._chi1_table(mx, my, mz)
-    k, k1, c2 = analytic._chi2_table(mw, mz)
+    expo, c1 = analytic._term_table((mx,), (my, mz))
+    n, i1, i2 = expo.T[:3]
+    expo, c2 = analytic._term_table((mw,), (mz,))
+    k, k1 = expo.T[:2]
     ln_n = (c1 + (n - i1 - i2) * math.log(r.beta + 1.0)
             + (n - my - i1 - mz - i2) * math.log(r.qx) + my * math.log(r.by)
             + mz * math.log(r.bz))
@@ -558,3 +567,124 @@ def test_asep_terms_bit_identical_to_per_triple_assembly(shapes):
     mu = r.kernel_rate(mpsk_constants(4).b)
     got = analytic._asep_terms(inp, r, alphas, mu)
     assert np.array_equal(got, _asep_terms_reference(inp, r, alphas, mu))
+
+
+# The five finite-sum closed forms are calls of one term engine.  Each is
+# checked against its original term formula summed in 50-digit mpmath on
+# the same float inputs: a triple sum for the multiple-access phase, a
+# double sum for the broadcast phase and chi2, a triple sum for chi1, and
+# a quadruple sum (trinomial in Y, beta and 1) for the relay pair.
+
+def _mp_gamma_moment(mp, m, j, b, x):
+    """E[G^j e^{-x G}] = b^m Gamma(m+j) / (Gamma(m) (b + x)^{m+j}) for
+    G ~ Gamma(m, rate b)."""
+    return mp.mpf(b) ** m * mp.gamma(m + j) / (mp.gamma(m) * (mp.mpf(b) + x) ** (m + j))
+
+
+def _mp_primary_survival(mp, inp):
+    c = mp.mpf(inp.e.m * inp.threshold / (inp.e.mean_gain * inp.gamma_bar_p))
+    s1, s2 = mp.mpf(inp.gamma_bar_s1), mp.mpf(inp.gamma_bar_s2)
+    return mp.fsum(
+        mp.exp(-c) * c ** ell / mp.factorial(ell)
+        * mp.binomial(ell, t1) * mp.binomial(ell - t1, t2) * s1 ** t1 * s2 ** t2
+        * _mp_gamma_moment(mp, inp.f.m, t1, inp.f.rate, c * s1)
+        * _mp_gamma_moment(mp, inp.g.m, t2, inp.g.rate, c * s2)
+        for ell in range(inp.e.m) for t1 in range(ell + 1) for t2 in range(ell - t1 + 1))
+
+
+def _mp_relay_phase_survival(mp, inp):
+    c = mp.mpf(inp.e.m * inp.threshold / (inp.e.mean_gain * inp.gamma_bar_p))
+    gr = mp.mpf(inp.gamma_bar_r)
+    return mp.fsum(
+        mp.exp(-c) * c ** ell / mp.factorial(ell) * mp.binomial(ell, i) * gr ** (ell - i)
+        * _mp_gamma_moment(mp, inp.l.m, ell - i, inp.l.rate, c * gr)
+        for ell in range(inp.e.m) for i in range(ell + 1))
+
+
+def _mp_chi1(mp, inp, theta):
+    r = analytic._Rates(inp)
+    cx, beta1 = mp.mpf(r.qx * theta), mp.mpf(r.beta + 1.0)
+    return mp.fsum(
+        mp.exp(-cx * beta1) * cx ** n / mp.factorial(n)
+        * mp.binomial(n, i1) * mp.binomial(n - i1, i2) * beta1 ** (n - i1 - i2)
+        * _mp_gamma_moment(mp, inp.y.m, i1, r.by, cx)
+        * _mp_gamma_moment(mp, inp.z.m, i2, r.bz, cx)
+        for n in range(inp.x.m) for i1 in range(n + 1) for i2 in range(n - i1 + 1))
+
+
+def _mp_chi2(mp, inp, theta):
+    r = analytic._Rates(inp)
+    cw = mp.mpf(r.qw * theta)
+    return mp.fsum(
+        mp.exp(-cw) * cw ** k / mp.factorial(k) * mp.binomial(k, k1)
+        * _mp_gamma_moment(mp, inp.z.m, k1, r.bz, cw)
+        for k in range(inp.w.m) for k1 in range(k + 1))
+
+
+def _mp_relay_pair_survival(mp, inp, theta):
+    r = analytic._Rates(inp)
+    cx, cw, beta = mp.mpf(r.qx * theta), mp.mpf(r.qw * theta), mp.mpf(r.beta)
+    return mp.fsum(
+        mp.exp(-(cx + cw) * (beta + 1)) * cx ** n / mp.factorial(n) * cw ** n1 / mp.factorial(n1)
+        * mp.binomial(n + n1, i1) * mp.binomial(n + n1 - i1, i2) * beta ** i2
+        * _mp_gamma_moment(mp, inp.y.m, i1, r.by, cx + cw)
+        for n in range(inp.x.m) for n1 in range(inp.w.m)
+        for i1 in range(n + n1 + 1) for i2 in range(n + n1 - i1 + 1))
+
+
+def _random_engine_inputs(rng):
+    """(primary inputs, secondary inputs) with every severity in 1..8."""
+    def link():
+        return L(int(rng.integers(1, 9)), float(rng.uniform(0.05, 2.0)))
+
+    def db(lo, hi):
+        return float(10.0 ** rng.uniform(lo / 10.0, hi / 10.0))
+
+    prim = PrimaryOutageInputs(
+        e=link(), f=link(), g=link(), l=link(), gamma_bar_p=db(0, 40),
+        gamma_bar_s1=db(-10, 30), gamma_bar_s2=db(-10, 30), gamma_bar_r=db(-10, 30),
+        threshold=float(rng.uniform(0.05, 3.0)))
+    sec = SecondaryCdfInputs(
+        x=link(), w=link(), y=link(), z=link(), v=link(), gamma_bar_p=db(0, 40),
+        gamma_bar_s=db(0, 40), gamma_bar_r=db(0, 40))
+    return prim, sec
+
+
+def _engine_cases():
+    """(primary, secondary) inputs: the SHAPES severities on the (e, f, g,
+    l) and (x, w, y, z) links, then random ones."""
+    for name, shapes in SHAPE_CASES.items():
+        e, f, g, l = (L(m, gain) for m, gain in zip(shapes, (1.0, 0.8, 1.2, 0.9)))
+        yield pytest.param(_prim(e=e, f=f, g=g, l=l), _shaped(*shapes), id=name)
+    rng = np.random.default_rng(16)
+    for i in range(8):
+        yield pytest.param(*_random_engine_inputs(rng), id=f"random{i}")
+
+
+@pytest.mark.parametrize("prim, sec", list(_engine_cases()))
+def test_closed_forms_match_50_digit_term_sums(prim, sec):
+    mp = pytest.importorskip("mpmath")
+    thetas = np.geomspace(0.05, 20.0, 5)
+    with mp.workdps(50):
+        # the outages subtract the survival from 1, so they carry its
+        # absolute error
+        assert primary_outage(prim) == pytest.approx(
+            float(1 - _mp_primary_survival(mp, prim)), rel=1e-12, abs=1e-15)
+        assert relay_phase_outage(prim) == pytest.approx(
+            float(1 - _mp_relay_phase_survival(mp, prim)), rel=1e-12, abs=1e-15)
+        for got, ref in [(analytic._chi1, _mp_chi1), (analytic._chi2, _mp_chi2),
+                         (analytic._relay_pair_survival, _mp_relay_pair_survival)]:
+            want = np.array([float(ref(mp, sec, theta)) for theta in thetas.tolist()])
+            # a scalar theta sums with fsum, an array of thetas pairwise
+            assert [got(sec, theta) for theta in thetas.tolist()] == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+            assert got(sec, thetas) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("prim, sec", list(_engine_cases()))
+def test_relay_pair_survival_over_an_array_equals_scalar_calls(prim, sec):
+    thetas = np.geomspace(0.01, 50.0, 40)
+    grid = analytic._relay_pair_survival(sec, thetas)
+    assert grid.shape == thetas.shape
+    assert grid == pytest.approx([analytic._relay_pair_survival(sec, t) for t in thetas.tolist()],
+                                 rel=1e-14, abs=0.0)
