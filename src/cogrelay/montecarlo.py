@@ -9,12 +9,16 @@ of the trial range produces the same union of draws: the gains and the
 outage counts are bit-identical regardless of chunking or parallel split.
 
 The trial range is cut into chunks of _CHUNK = 2^20 trials, and each
-chunk into slices of at most _SLICE = 2^15 trials, which are drawn and
-scored while they fit in cache.  The SEP sums are float sums: per chunk
-they equal numpy's pairwise ``sum`` over the whole chunk bit for bit,
-because the slices are cut along numpy's own pairwise split and their
-sums are added back up that tree (``_pairwise``); the chunk totals are
-added in order.  They therefore depend on _CHUNK but not on _SLICE.
+chunk into slices of at most _SLICE = 2^14 trials, which are drawn and
+scored while they fit in cache.  The slices run concurrently on one
+process-wide thread pool (numpy releases the GIL in Philox generation
+and in the ufunc loops), and their results are collected in slice order.
+The SEP sums are float sums: per chunk they equal numpy's pairwise
+``sum`` over the whole chunk bit for bit, because the slices are cut
+along numpy's own pairwise split (``_spans``) and their sums are added
+back up that tree (``_add_up``); the chunk totals are added in order.
+They therefore depend on _CHUNK but not on _SLICE or on the number of
+worker threads.
 
 Links are named as in ``link_table``: ``x, w, y, l, z, v`` in Scenario
 (a), and ``x0, w0, y0, l0, x1, ...`` (relay k carries index k at every
@@ -32,7 +36,10 @@ full draw.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +67,12 @@ __all__ = [
 DEFAULT_TRIALS = 100_000
 # A chunk fixes only the order of the float sums (numpy's pairwise
 # order over each chunk); every chunk is drawn and scored in slices of at
-# most _SLICE trials, which must stay >= 128 (see ``_pairwise``).
+# most _SLICE trials, which must stay >= 128 (see ``_spans``).  Up to
+# _MAX_WORKERS slices are in flight at once, so live memory is about
+# that many slices' worth.
 _CHUNK = 1 << 20
-_SLICE = 1 << 15
+_SLICE = 1 << 14
+_MAX_WORKERS = 4
 _U64 = 1 << 64
 
 
@@ -251,25 +261,47 @@ def _chunks(trials: int):
         yield start, min(_CHUNK, trials - start)
 
 
-def _pairwise(start: int, n: int, leaf):
-    """``leaf(start, n)`` summed over trials start..start+n-1 along numpy's
-    pairwise split of a length-n array: a span longer than _SLICE is cut
-    at h = n//2 - (n//2) % 8 and its two halves' results are added with
-    ``+``.  Numpy does not split below 128 elements, so as long as
-    _SLICE >= 128 a float sum over a span, added up this way, equals
-    ``np.sum`` over the whole span bit for bit."""
+def _spans(start: int, n: int) -> list[tuple[int, int]]:
+    """The slices (start, length) of trials start..start+n-1, in order:
+    numpy's pairwise split of a length-n array, which cuts a span longer
+    than _SLICE at h = n//2 - (n//2) % 8."""
     if n <= _SLICE:
-        return leaf(start, n)
+        return [(start, n)]
     h = n // 2
     h -= h % 8
-    return _pairwise(start, h, leaf) + _pairwise(start + h, n - h, leaf)
+    return _spans(start, h) + _spans(start + h, n - h)
+
+
+def _add_up(n: int, sums):
+    """The next results of the iterator ``sums``, one per slice of
+    ``_spans(start, n)``, added up that split tree with ``+``.  Numpy does
+    not split below 128 elements, so as long as _SLICE >= 128 a float sum
+    over a span, added up this way, equals ``np.sum`` over the whole span
+    bit for bit."""
+    if n <= _SLICE:
+        return next(sums)
+    h = n // 2
+    h -= h % 8
+    return _add_up(h, sums) + _add_up(n - h, sums)
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    # created on the first Monte Carlo call and kept for the process
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return ThreadPoolExecutor(min(_MAX_WORKERS, cpus), thread_name_prefix="montecarlo")
 
 
 def _tally(trials: int, leaf):
-    """``leaf`` summed over every slice of every chunk of the trial range."""
+    """``leaf(start, n)`` summed over every slice of every chunk of the
+    trial range; the slices run on the pool."""
+    chunks = list(_chunks(trials))
+    spans = [span for start, n in chunks for span in _spans(start, n)]
+    sums = _pool().map(lambda span: leaf(*span), spans)
     total = 0
-    for start, n in _chunks(trials):
-        total = total + _pairwise(start, n, leaf)
+    for _, n in chunks:
+        total = total + _add_up(n, sums)
     return total
 
 

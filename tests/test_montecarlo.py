@@ -3,6 +3,7 @@ assembly, and cross-validation against the closed forms."""
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -171,12 +172,17 @@ class TestSlices:
         rng = np.random.default_rng(23)
         for n in (1000, 1424, 100_000, 1 << 20, 999_983, 65_537, 262_149):
             a = rng.standard_normal(n) * np.exp(4.0 * rng.standard_normal(n))
-            total = mc._pairwise(0, n, lambda start, k: a[start:start + k].sum())
+            spans = mc._spans(0, n)
+            starts, lengths = zip(*spans)
+            assert list(starts) == np.cumsum((0,) + lengths[:-1]).tolist()
+            assert sum(lengths) == n and max(lengths) <= slice_
+            total = mc._add_up(n, iter([a[s:s + k].sum() for s, k in spans]))
             assert total.hex() == a.sum().hex(), n
 
     def test_scoring_memory_is_slice_sized(self):
         # K = 4 over 1,050,000 trials: whole-chunk scoring peaked at 143 MB
-        # traced, slices of 2^15 trials stay near 4.5 MB
+        # traced; slices of 2^14 trials peak near 2.4 MB per worker (4.5 MB
+        # with 2 workers, 8.2 MB with _MAX_WORKERS = 4)
         rows = [(1, POWERS), (2, POWERS), (4, POWERS)]
         tracemalloc.start()
         try:
@@ -186,6 +192,63 @@ class TestSlices:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class SliceError(Exception):
+    pass
+
+
+class TestPool:
+    """The slices run on a thread pool; the estimates do not depend on its
+    worker count, and a slice's error reaches the caller."""
+
+    @staticmethod
+    def _estimates():
+        # a ragged last chunk, several slices per chunk at the default size
+        inputs, kw = TestPrimaryEstimator.INPUTS, dict(theta=2.0, trials=100_003, seed=28)
+        return [
+            mc.estimate_rows(scenario_a(z_gain=0.3, v_gain=0.2),
+                             [(1, POWERS), (1, TestSlices.P2)], mod=mpsk_constants(4), **kw),
+            mc.estimate_rows(scenario_b(K=2), [(1, POWERS), (2, POWERS), (2, TestSlices.P2)],
+                             mod=mpsk_constants(2), **kw),
+            [mc.estimate_primary_outage(inputs, trials=100_003, seed=29, phase=ph)
+             for ph in ("ma", "bc")],
+        ]
+
+    def test_estimates_do_not_depend_on_worker_count(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK", 1 << 16)
+        ref = self._estimates()
+        for workers in (1, 2, 8):   # 8: more workers than the host has cores
+            with ThreadPoolExecutor(workers) as pool, monkeypatch.context() as m:
+                m.setattr(mc, "_pool", lambda: pool)
+                assert self._estimates() == ref, workers
+                m.setattr(mc, "_SLICE", 1024)
+                assert self._estimates() == ref, (workers, 1024)
+
+    @pytest.mark.parametrize("primary", [False, True], ids=["rows", "primary"])
+    def test_slice_error_reaches_caller(self, primary, monkeypatch):
+        def run():
+            if primary:
+                return mc.estimate_primary_outage(TestPrimaryEstimator.INPUTS,
+                                                  trials=100_000, seed=30)
+            return mc.estimate_rows(scenario_b(K=2), [(2, POWERS)], theta=2.0,
+                                    trials=100_000, seed=30)
+
+        ref, stream, pool = run(), mc._gamma_stream, mc._pool()
+        monkeypatch.setattr(mc, "_SLICE", 1024)
+        bad = mc._spans(0, 100_000)[3][0]   # the fourth of 128 slices
+
+        def failing(seed, link_id, m, mean, start, count):
+            if start == bad:
+                raise SliceError(start)
+            return stream(seed, link_id, m, mean, start, count)
+
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_gamma_stream", failing)
+            with pytest.raises(SliceError):
+                run()
+        assert run() == ref
+        assert mc._pool() is pool
 
 
 class TestOnePass:
