@@ -6,7 +6,9 @@ L = kappa + sum_i a_i G_i is a sum of independent Gamma gains: the two
 primary outages, chi1 and chi2 of Scenario (a) and the relay-pair
 survival of Scenario (b) are calls of one term engine,
 ``_expected_survival``, whose terms come from the multinomial theorem and
-the Gamma Laplace transform.  The end-to-end survival of Scenario (a),
+the Gamma Laplace transform; it broadcasts over the scales and contracts
+each element on its own.  One lattice solver, ``_solve``, finds every
+regulated power of a sweep at once.  The end-to-end survival of Scenario (a),
 which splits on V, keeps its own term table.  The printed forms in the
 source material contain transcription slips, so every function is
 assembled directly from the underlying expectation integrals; the
@@ -22,7 +24,6 @@ the double-exponential kernel rule are numpy's pairwise sums.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -43,6 +44,7 @@ __all__ = [
     "relay_phase_outage",
     "solve_secondary_source_power",
     "solve_relay_power",
+    "solve_power_lattice",
     "cdf_scenario_a",
     "cdf_scenario_a_e2e",
     "cdf_scenario_b",
@@ -159,30 +161,30 @@ def _expected_survival(factors, kappa: float, gains):
     """E[prod_f Q(m_f, c_f L)] for L = kappa + sum_i a_i G_i, where Q(m, x) =
     e^{-x} sum_{n<m} x^n/n! is the integer-shape Gamma survival and the
     G_i ~ Gamma(m_i, rate b_i) are independent.  ``factors`` holds the
-    pairs (m_f, c_f) and ``gains`` the triples (m_i, a_i, b_i); a gain with
-    a_i = 0 is dropped.  The c_f are scalars, or 1-D arrays of one shape
-    over which the result is elementwise; kappa > 0 and the a_i, b_i are
-    scalars.
+    pairs (m_f, c_f) and ``gains`` the triples (m_i, a_i, b_i).  The c_f
+    and a_i are scalars, or arrays broadcast to one shape over which the
+    result is elementwise; kappa > 0 and the b_i are scalars.
 
     With s = sum c_f, (c_f L)^{n_f} = (c_f kappa)^{n_f} (1 + sum_i a_i G_i /
     kappa)^{n_f}, the multinomial theorem and E[G^j e^{-s a G}] =
     b^m Gamma(m+j) / (Gamma(m) (b + s a)^{m+j}) make every term
     e^{-s kappa} times powers of c_f kappa, a_i / (kappa (b_i + s a_i)) and
-    b_i / (b_i + s a_i) times a constant: in the log domain one matrix
-    product with the tabled exponents, where log 0 is floored so that
-    0**0 = 1.  Scalar c_f sum the terms with ``fsum``, arrays pairwise.
+    b_i / (b_i + s a_i) times a constant: in the log domain a product with
+    the tabled exponents, where log 0 is floored so that 0**0 = 1 (a_i = 0
+    keeps its j_i = 0 terms); each element has its own vector-matrix
+    product, so its value does not depend on the others.  Scalars sum the
+    terms with ``fsum``, arrays pairwise.
     """
-    gains = [g for g in gains if g[1] != 0.0]
     orders, cs = zip(*factors)
     s = sum(cs)
     expo, const = _term_table(orders, tuple(m for m, _, _ in gains))
-    x = np.array([*(c * kappa for c in cs),
-                  *(a / (kappa * (b + s * a)) for _, a, b in gains),
-                  *(b / (b + s * a) for _, a, b in gains)])
-    logs = np.full((len(x) + 1, *x.shape[1:]), _LOG_ZERO)
-    np.log(x, out=logs[:-1], where=x > 0.0)
-    logs[-1] = -s * kappa
-    terms = np.exp(logs.T @ expo.T + const)
+    x = np.stack(np.broadcast_arrays(
+        *(c * kappa for c in cs), *(a / (kappa * (b + s * a)) for _, a, b in gains),
+        *(b / (b + s * a) for _, a, b in gains)), axis=-1)
+    logs = np.full((*x.shape[:-1], x.shape[-1] + 1), _LOG_ZERO)
+    np.log(x, out=logs[..., :-1], where=x > 0.0)
+    logs[..., -1] = -s * kappa
+    terms = np.exp(np.matmul(logs[..., None, :], expo.T)[..., 0, :] + const)
     return fsum(terms.tolist()) if terms.ndim == 1 else terms.sum(axis=-1)
 
 
@@ -204,124 +206,128 @@ def _asep_value(kernel: float, mod: ModulationSpec, where: str) -> float:
 # Primary network
 # ---------------------------------------------------------------------------
 
+def _outage(e: FadingLink, gamma_bar_p, threshold: float, interferers):
+    """1 - E[Q(m_e, c (1 + sum_i snr_i G_i))], c = m_e threshold /
+    (Omega_e gamma_bar_p): the outage of primary link ``e`` at SINR
+    ``threshold`` against the ``interferers``, pairs (link, SNR); the SNRs
+    and gamma_bar_p are scalars or arrays, as in ``_expected_survival``."""
+    c = e.m * threshold / (e.mean_gain * gamma_bar_p)
+    return 1.0 - _expected_survival([(e.m, c)], 1.0,
+                                    [(link.m, snr, link.rate) for link, snr in interferers])
+
+
 def primary_outage(inputs: PrimaryOutageInputs) -> float:
     """Outage probability of the primary receiver in the multiple-access
     phase, where both secondary sources interfere:
     E_{F,G}[F_E(theta/gp * (gs1 F + gs2 G + 1))]."""
-    e = inputs.e
-    c = e.m * inputs.threshold / (e.mean_gain * inputs.gamma_bar_p)
-    survival = _expected_survival(
-        [(e.m, c)], 1.0, [(inputs.f.m, inputs.gamma_bar_s1, inputs.f.rate),
-                          (inputs.g.m, inputs.gamma_bar_s2, inputs.g.rate)])
-    return _clamp_probability(1.0 - survival, "primary_outage")
+    return _clamp_probability(_outage(inputs.e, inputs.gamma_bar_p, inputs.threshold,
+                                      [(inputs.f, inputs.gamma_bar_s1),
+                                       (inputs.g, inputs.gamma_bar_s2)]), "primary_outage")
 
 
 def relay_phase_outage(inputs: PrimaryOutageInputs) -> float:
     """Outage probability of the primary receiver in the broadcast phase,
     where only the relay interferes: E_L[F_E(theta/gp * (gr L + 1))]."""
-    e = inputs.e
-    c = e.m * inputs.threshold / (e.mean_gain * inputs.gamma_bar_p)
-    survival = _expected_survival(
-        [(e.m, c)], 1.0, [(inputs.l.m, inputs.gamma_bar_r, inputs.l.rate)])
-    return _clamp_probability(1.0 - survival, "relay_phase_outage")
+    return _clamp_probability(_outage(inputs.e, inputs.gamma_bar_p, inputs.threshold,
+                                      [(inputs.l, inputs.gamma_bar_r)]), "relay_phase_outage")
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float, what: str):
-    """Root of ``f`` in [a, b] and ``f`` there, given fa = f(a) and fb = f(b).
-
-    Brent's method (R. P. Brent, *Algorithms for Minimization without
-    Derivatives*, 1973, ch. 4), ported step for step from scipy's
-    ``brentq.c`` at xtol 1e-12, rtol 1e-15 and 100 iterations, so the root
-    is the same float.  A same-sign bracket, a NaN value or
-    non-convergence raises NumericalInstability.
-    """
-    if math.isnan(fa) or math.isnan(fb) or ((fa < 0.0) == (fb < 0.0) and fa != 0.0 != fb):
-        raise NumericalInstability(
-            f"{what}: constraint values {fa:.6g}, {fb:.6g} at {a:.6g}, {b:.6g} bracket no root")
-    if fa == 0.0 or fb == 0.0:
-        return (a, fa) if fa == 0.0 else (b, fb)
-    xpre, fpre, xcur, fcur = a, fa, b, fb
-    xblk = fblk = spre = scur = 0.0
+def _solve(constraint, threshold, cap, what: str) -> tuple[np.ndarray, list]:
+    """Largest power in [0, cap] whose ``constraint(p, at)`` (the points
+    ``at`` at powers p) meets ``threshold``, for all points of the arrays
+    ``threshold`` and ``cap`` at once: the cap if the constraint holds
+    there, else the end whose constraint is <= threshold of a bracket
+    narrowed below 1e-12 + 1e-15 |p| by Chandrupatla's method (Adv. Eng.
+    Software 28(3), 1997: inverse quadratic interpolation where safe, else
+    bisection).  A point's steps read only its own values, so its power
+    does not depend on the batch.  Returns the powers and per point None or
+    the error that left its power NaN: Infeasible if the constraint fails
+    at power 0, NumericalInstability if it is NaN, takes 100 steps, or ends
+    more than 1e-9 from the threshold (it jumps across it)."""
+    threshold, cap = np.asarray(threshold, dtype=float), np.asarray(cap, dtype=float)
+    if not np.all((0.0 <= threshold) & (threshold <= 1.0)):
+        raise ValueError(f"thresholds must be probabilities, got {threshold}")
+    f0, fcap = (constraint(p, np.arange(threshold.size)) - threshold
+                for p in (np.zeros(threshold.shape), cap))
+    power = np.where((f0 <= 0.0) & (fcap <= 0.0), cap, np.nan)
+    errors = [Infeasible(f"{what}: outage without interference ({a + thr:.6g}) already "
+                         f"exceeds the threshold {thr:.6g}") if a > 0.0
+              else NumericalInstability(f"{what}: constraint values {a:.6g}, {b:.6g} at 0, "
+                                        f"{c:.6g} bracket no root") if math.isnan(a + b)
+              else None
+              for a, b, c, thr in zip(f0.tolist(), fcap.tolist(), cap.tolist(), threshold.tolist())]
+    at = np.flatnonzero((f0 <= 0.0) & (fcap > 0.0))
+    # x1 is the newest point, [x1, x2] the bracket and x3 the end it dropped
+    x1, f1, x2, f2, t = cap[at], fcap[at], np.zeros(at.size), f0[at], np.full(at.size, 0.5)
     for _ in range(100):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (1e-12 + 1e-15 * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, fcur
-        stry = math.inf  # bisect unless interpolation gives a short step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            with suppress(ZeroDivisionError):  # C gets +-inf or NaN here and bisects
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise NumericalInstability(f"{what}: constraint is NaN at power {xcur:.6g}")
-    raise NumericalInstability(f"{what}: root finder did not converge in 100 iterations")
+        if not at.size:
+            break
+        x = x1 + t * (x2 - x1)
+        f = constraint(x, at) - threshold[at]
+        same = (f > 0.0) == (f1 > 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+        tol = 1e-12 + 1e-15 * np.abs(np.where(np.abs(f1) < np.abs(f2), x1, x2))
+        dx = np.abs(x2 - x1)
+        stop = np.isnan(f1) | (dx < tol) | (f1 == 0.0) | (f2 == 0.0)
+        for i, p, fp in zip(at[stop], np.where(f1 > 0.0, x2, x1)[stop],
+                            np.where(f1 > 0.0, f2, f1)[stop]):
+            if abs(fp) <= 1e-9:
+                power[i] = p
+            else:
+                errors[i] = NumericalInstability(
+                    f"{what}: constraint is NaN at power {p:.6g}" if np.isnan(fp) else
+                    f"{what}: constraint does not reach the threshold {threshold[i]:.6g} "
+                    f"continuously near power {p:.6g}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi, alpha = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2), (x3 - x1) / (x2 - x1)
+            iqi = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+            t = np.clip(np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)), iqi, 0.5),
+                        0.5 * tol / dx, 1.0 - 0.5 * tol / dx)
+        x1, f1, x2, f2, t, at = (v[~stop] for v in (x1, f1, x2, f2, t, at))
+    for i in at:
+        errors[i] = NumericalInstability(f"{what}: root finder did not converge in 100 steps")
+    return power, errors
 
 
-def _bisect_power(constraint, threshold: float, cap: float, what: str) -> float:
-    """Largest power in [0, cap] whose ``constraint`` meets ``threshold``.
+def solve_power_lattice(e: FadingLink, interferers: tuple[FadingLink, ...], gamma_bar_p,
+                        threshold: float, outage_threshold, cap, what: str) -> tuple:
+    """``_solve`` over arrays ``gamma_bar_p``, ``outage_threshold`` and ``cap``:
+    the largest SNR of the ``interferers`` (both sources in the MA phase, one
+    relay in the BC phase) keeping the outage of primary link ``e`` at SINR
+    ``threshold`` within the outage threshold (NaN if off [0, 1] by CLAMP_TOL)."""
+    gamma_bar_p = np.asarray(gamma_bar_p, dtype=float)
 
-    Returns ``cap`` when the constraint holds there; otherwise the root of
-    ``constraint(p) = threshold``, located by ``_brent`` (scipy's ``brentq``,
-    bit for bit) to 1e-12 in the power (relative above 1).  A root that
-    does not reproduce its threshold within 1e-9 (a constraint that jumps
-    across it) raises NumericalInstability.
-    """
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be a probability, got {threshold}")
-    f0 = constraint(0.0)
-    if f0 > threshold:
-        raise Infeasible(
-            f"{what}: outage without interference ({f0:.6g}) already exceeds "
-            f"the threshold {threshold:.6g}"
-        )
-    fcap = constraint(cap)
-    if fcap <= threshold:
-        return cap
-    root, residual = _brent(lambda p: constraint(p) - threshold, 0.0, cap,
-                            f0 - threshold, fcap - threshold, what)
-    if abs(residual) > 1e-9:
-        raise NumericalInstability(
-            f"{what}: constraint does not reach the threshold {threshold:.6g} "
-            f"continuously near power {root:.6g}")
-    return root
+    def outage(p, at):
+        out = _outage(e, gamma_bar_p[at], threshold, [(link, p) for link in interferers])
+        return np.where(abs(out - 0.5) > 0.5 + CLAMP_TOL, np.nan, np.clip(out, 0.0, 1.0))
+    return _solve(outage, outage_threshold, cap, what)
+
+
+def _solve_one(inputs: PrimaryOutageInputs, interferers, threshold, cap, what) -> float:
+    (power,), (error,) = solve_power_lattice(inputs.e, interferers, [inputs.gamma_bar_p],
+                                             inputs.threshold, [threshold], [cap], what)
+    if error is not None:
+        raise error
+    return float(power)
 
 
 def solve_secondary_source_power(inputs: PrimaryOutageInputs, threshold: float,
                                  cap: float) -> float:
-    """Shared source SNR (gamma_bar_S1 = gamma_bar_S2) whose MA-phase
-    primary outage meets ``threshold``: the largest such power to 1e-12
-    relative (absolute below 1), or ``cap`` when the constraint holds
-    there."""
-    return _bisect_power(
-        lambda gs: primary_outage(replace(inputs, gamma_bar_s1=gs, gamma_bar_s2=gs)),
-        threshold, cap, "secondary source power")
+    """Shared source SNR (gamma_bar_S1 = gamma_bar_S2) whose MA-phase primary
+    outage meets ``threshold``: the largest such power to 1e-12 relative
+    (absolute below 1), or ``cap`` when the constraint holds there.  One
+    point of ``solve_power_lattice``, whose error it raises."""
+    return _solve_one(inputs, (inputs.f, inputs.g), threshold, cap, "secondary source power")
 
 
-def solve_relay_power(inputs: PrimaryOutageInputs, threshold: float,
-                      cap: float) -> float:
+def solve_relay_power(inputs: PrimaryOutageInputs, threshold: float, cap: float) -> float:
     """Relay SNR whose BC-phase primary outage meets ``threshold``: the
     largest such power to 1e-12 relative (absolute below 1), or ``cap``
-    when the constraint holds there."""
-    return _bisect_power(
-        lambda gr: relay_phase_outage(replace(inputs, gamma_bar_r=gr)),
-        threshold, cap, "relay power")
+    when the constraint holds there.  One point of ``solve_power_lattice``,
+    whose error it raises."""
+    return _solve_one(inputs, (inputs.l,), threshold, cap, "relay power")
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,19 @@ rule (``_filled_cells``) sets the cells every row fills: ``analytic_*``
 unless ``--mc-only``, ``mc_*`` unless ``--analytic-only``, ``*_asep`` only
 in Scenario (a).  A silent row, with no secondary power (a zero primary
 outage threshold, or ``infeasible``), supplies outage 1, SEP a/2 and CI 0
-to those cells.  A row whose closed form raised leaves them blank and
-says why in ``error``; the run continues.
+to those cells.  The powers of the whole lattice are solved first.  A row
+whose power solve or closed form raised leaves those cells (and a failed
+power) blank and says why in ``error``; the run continues.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import CogrelayError, ConfigError, Infeasible
 from .model import (FadingLink, ModulationSpec, NetworkScenario, PowerProfile,
@@ -31,7 +33,7 @@ from .model import (FadingLink, ModulationSpec, NetworkScenario, PowerProfile,
 from .analytic import (PrimaryOutageInputs, SecondaryCdfInputs, asep_kernel_scenario_a,
                        asep_scenario_a, cdf_scenario_a, cdf_scenario_a_e2e,
                        cdf_scenario_b, primary_outage, relay_phase_outage,
-                       solve_relay_power, solve_secondary_source_power)
+                       solve_power_lattice, solve_secondary_source_power)
 from .config import RunConfig, SweepPlan, load_config
 from . import montecarlo, specfun
 
@@ -88,24 +90,32 @@ def _secondary_inputs(scenario: NetworkScenario, gp: float, gs: float,
     ]
 
 
-def _solve_powers(scenario: NetworkScenario, gp: float, cap_s: float,
-                  cap_r: float, threshold: float) -> tuple[float, list[float]]:
-    """Largest source SNR meeting the primary outage constraint in the MA
-    phase (0 if it admits no transmission) and, in relay order up to the
-    first that admits none, each relay's largest SNR meeting it in the BC phase."""
+def _error_cell(exc: CogrelayError) -> str:
+    return f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+
+
+def _solve_powers(scenario: NetworkScenario, gp, threshold, cap_s,
+                  cap_r) -> tuple[list[list[float]], list[str]]:
+    """Per point of the lattice (arrays over it): the largest source SNR
+    meeting the primary outage constraint in the MA phase, then each
+    relay's in the BC phase, up to the first power that admits no
+    transmission (none at a zero threshold) or fails, and that failure's
+    error cell.  One solve per phase, over the points still transmitting."""
     gth = primary_threshold(scenario)
-    base = PrimaryOutageInputs(
-        e=scenario.pt_px, f=scenario.s1_px, g=scenario.s2_px,
-        l=scenario.relay_px[0], gamma_bar_p=gp,
-        gamma_bar_s1=1.0, gamma_bar_s2=1.0, gamma_bar_r=1.0, threshold=gth)
-    gs, relay_powers = 0.0, []
-    if threshold > 0.0:   # a zero threshold forbids transmission outright
-        with contextlib.suppress(Infeasible):   # the powers solved before it stand
-            gs = solve_secondary_source_power(base, threshold, cap_s)
-            for link in scenario.relay_px:
-                probe = replace(base, l=link, gamma_bar_s1=gs, gamma_bar_s2=gs)
-                relay_powers.append(solve_relay_power(probe, threshold, cap_r))
-    return gs, relay_powers
+    solved, errors = [[] for _ in gp], [""] * len(gp)
+    at = np.flatnonzero(threshold > 0.0)
+    phases = [((scenario.s1_px, scenario.s2_px), cap_s, "secondary source power")]
+    phases += [((link,), cap_r, "relay power") for link in scenario.relay_px]
+    for interferers, cap, what in phases:
+        powers, failures = solve_power_lattice(scenario.pt_px, interferers, gp[at], gth,
+                                               threshold[at], cap[at], what)
+        for i, power, exc in zip(at.tolist(), powers.tolist(), failures):
+            if exc is None:
+                solved[i].append(power)
+            elif not isinstance(exc, Infeasible):
+                errors[i] = _error_cell(exc)
+        at = at[[exc is None for exc in failures]]
+    return solved, errors
 
 
 def _filled_cells(scenario: Scenario, analytic_only: bool, mc_only: bool) -> set[str]:
@@ -118,69 +128,69 @@ def _filled_cells(scenario: Scenario, analytic_only: bool, mc_only: bool) -> set
             and not (scenario is Scenario.B and "_asep" in name)}
 
 
-def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float,
-                 mod: ModulationSpec,
+def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float, gp: float,
+                 cap_s: float, cap_r: float, solved: list[float], error: str, mod: ModulationSpec,
                  filled: set[str]) -> Iterator[tuple[dict, PowerProfile | None]]:
     """The cells of one (grid point, threshold), one dict per relay count,
     with their closed-form values and their powers if Monte Carlo is due.
-    Each power is solved once: relay k's is the same for every K >= k."""
-    gp = db_to_linear(x_db if plan.x_axis == "primary_snr_db"
-                      else cfg.primary_snr_db)
-    if plan.x_axis == "secondary_snr_db":
-        cap_s = cap_r = db_to_linear(x_db)
-    else:
-        cap_s = db_to_linear(cfg.max_source_snr_db)
-        cap_r = db_to_linear(cfg.max_relay_snr_db)
-
-    top = cfg.network_scenario(max(plan.relay_counts))
-    gs, relay_powers = _solve_powers(top, gp, cap_s, cap_r, threshold)
+    ``solved`` and ``error`` are the point's entry of ``_solve_powers``:
+    relay k's power is the same for every K >= k."""
+    gs, *relay_powers = solved or [0.0]
     for K in plan.relay_counts:
         gr = min(cap_r, *relay_powers[:K]) if len(relay_powers) >= K else 0.0
         cells = dict(x_db=x_db, threshold=threshold, K=K, gamma_bar_p=gp,
                      gamma_bar_s=gs, gamma_bar_r=gr)
-        if gs <= 0.0 or gr <= 0.0:
+        powers = None
+        if error and len(relay_powers) < K:
+            # a power this row needs failed to solve: it has no result cells
+            cells.update(gamma_bar_s=gs or None, gamma_bar_r=None, error=error)
+        elif gs <= 0.0 or gr <= 0.0:
             # no admissible secondary power (``infeasible`` unless the threshold
             # is zero): outage is exactly one, the SEP its zero-SINR value
             sep = mod.a / 2.0
             cells.update(gamma_bar_s=0.0, gamma_bar_r=0.0, analytic_oc=1.0, mc_oc=1.0,
                          mc_oc_ci=0.0, analytic_asep=sep, mc_asep=sep, mc_asep_ci=0.0,
                          error="infeasible" if threshold > 0.0 else "")
-            yield cells, None
-            continue
-        scenario = cfg.network_scenario(K)
-        theta = scenario.secondary_threshold
-        inputs = _secondary_inputs(scenario, gp, gs, gr)
-        powers = None
-        try:
-            if "analytic_oc" in filled:
-                cells["analytic_oc"] = (cdf_scenario_a_e2e(inputs[0], theta)
-                                        if scenario.scenario is Scenario.A
-                                        else cdf_scenario_b(inputs, K, theta))
-            if "analytic_asep" in filled:
-                cells["analytic_asep"] = asep_kernel_scenario_a(inputs[0], mod)
-            if "mc_oc" in filled:
-                powers = PowerProfile(gamma_bar_p=gp, gamma_bar_s=gs, gamma_bar_r=gr,
-                                      max_gamma_bar_s=cap_s, max_gamma_bar_r=cap_r)
-        except CogrelayError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            cells["error"] = error.replace(",", ";").replace("\n", " ")
+        else:
+            scenario = cfg.network_scenario(K)
+            theta = scenario.secondary_threshold
+            inputs = _secondary_inputs(scenario, gp, gs, gr)
+            try:
+                if "analytic_oc" in filled:
+                    cells["analytic_oc"] = (cdf_scenario_a_e2e(inputs[0], theta)
+                                            if scenario.scenario is Scenario.A
+                                            else cdf_scenario_b(inputs, K, theta))
+                if "analytic_asep" in filled:
+                    cells["analytic_asep"] = asep_kernel_scenario_a(inputs[0], mod)
+                if "mc_oc" in filled:
+                    powers = PowerProfile(gamma_bar_p=gp, gamma_bar_s=gs, gamma_bar_r=gr,
+                                          max_gamma_bar_s=cap_s, max_gamma_bar_r=cap_r)
+            except CogrelayError as exc:
+                cells["error"] = _error_cell(exc)
         yield cells, powers
 
 
 def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
-              mc_only: bool = False,
-              mod: ModulationSpec | None = None) -> list[SweepRow]:
+              mc_only: bool = False, mod: ModulationSpec | None = None) -> list[SweepRow]:
     """Evaluate the full (grid point x threshold x relay count) lattice in
-    deterministic order.  The closed forms are evaluated point by point;
-    the Monte Carlo cells of all rows are then estimated together, on one
-    gain draw per trial slice for the largest relay count among them.
-    Each row keeps only the cells ``_filled_cells`` names."""
+    deterministic order.  The powers of the whole lattice are solved first
+    (``_solve_powers``), the closed forms are then evaluated point by
+    point, and the Monte Carlo cells of all rows are estimated together,
+    on one gain draw per trial slice for the largest relay count among
+    them.  Each row keeps only the cells ``_filled_cells`` names."""
     mod = mod or mpsk_constants(4)
     filled = _filled_cells(cfg.scenario_kind, analytic_only, mc_only)
-    points = [point for x_db in plan.grid_db() for threshold in plan.outage_thresholds
-              for point in _sweep_point(cfg, plan, x_db, threshold, mod, filled)]
-    pending = [(cells, powers) for cells, powers in points if powers is not None]
     scenario = cfg.network_scenario(max(plan.relay_counts))
+    on_s = plan.x_axis == "secondary_snr_db"
+    lattice = [(x_db, threshold, db_to_linear(cfg.primary_snr_db if on_s else x_db),
+                *(db_to_linear(x_db if on_s else cap)
+                  for cap in (cfg.max_source_snr_db, cfg.max_relay_snr_db)))
+               for x_db in plan.grid_db() for threshold in plan.outage_thresholds]
+    _, threshold, gp, cap_s, cap_r = np.array(lattice, dtype=float).reshape(-1, 5).T
+    solved, errors = _solve_powers(scenario, gp, threshold, cap_s, cap_r)
+    points = [point for key, powers, error in zip(lattice, solved, errors)
+              for point in _sweep_point(cfg, plan, *key, powers, error, mod, filled)]
+    pending = [(cells, powers) for cells, powers in points if powers is not None]
     ests = montecarlo.estimate_rows(
         scenario, [(cells["K"], powers) for cells, powers in pending],
         theta=scenario.secondary_threshold,

@@ -5,14 +5,19 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cogrelay import analytic, cli, montecarlo
-from cogrelay.config import parse_config
+from cogrelay.config import load_config, parse_config
 from cogrelay.model import (PowerProfile, Scenario, db_to_linear, mpsk_constants,
                             primary_threshold)
 from tests.test_config import BASE
+
+ROOT = Path(__file__).parents[1]
 
 SMALL = BASE.replace("stop_db = 20.0", "stop_db = 10.0") \
             .replace("trials = 20000", "trials = 2000")
@@ -136,8 +141,9 @@ class TestRunSweep:
 
     def test_powers_solved_once_per_point(self, monkeypatch):
         # the source power does not depend on K and relay k's power is the
-        # same for every K >= k: one source solve per (grid point,
-        # threshold), one relay solve per relay, none at a zero threshold
+        # same for every K >= k: one lattice solve of the source powers with
+        # one entry per (grid point, threshold > 0), then one per relay with
+        # one entry per transmitting point
         text = SMALL_B.replace("relays = 3", "relays = 4") \
                       .replace("start_db = 0.0", "start_db = 10.0") \
                       .replace("stop_db = 10.0", "stop_db = 20.0") \
@@ -146,21 +152,19 @@ class TestRunSweep:
                       .replace("[sweep]", "[links.relay_px.2]\nm = 1\nmean_gain = 1.6\n\n"
                                           "[links.relay_px.4]\nm = 2\nmean_gain = 3.0\n\n"
                                           "[sweep]")
-        counts = collections.Counter()
+        calls, entries = collections.Counter(), collections.Counter()
+        solve = cli.solve_power_lattice
 
-        def counted(name):
-            fn = getattr(cli, name)
+        def counted(e, interferers, gp, threshold, outage, cap, what):
+            calls[what] += 1
+            entries[what] += len(outage)
+            return solve(e, interferers, gp, threshold, outage, cap, what)
 
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in ("solve_secondary_source_power", "solve_relay_power"):
-            monkeypatch.setattr(cli, name, counted(name))
+        monkeypatch.setattr(cli, "solve_power_lattice", counted)
         cfg = parse_config(text)
         rows = cli.run_sweep(cfg.sweeps["sweep"], cfg, analytic_only=True)
-        assert counts == {"solve_secondary_source_power": 2, "solve_relay_power": 8}
+        assert calls == {"secondary source power": 1, "relay power": 4}
+        assert entries == {"secondary source power": 2, "relay power": 8}
         assert len(rows) == 2 * 2 * 3 and all(r.error == "" for r in rows)
 
         # row K's relay power is the smallest standalone solve of relays 1..K
@@ -177,6 +181,39 @@ class TestRunSweep:
                 for link in sc.relay_px]
             assert r.gamma_bar_r == min(cap_r, *solves[:r.K])
             assert len(set(solves)) > 1
+
+    def test_failed_power_solve_leaves_only_its_rows_blank(self, monkeypatch):
+        # a constraint that is NaN at every positive power of the 12 dB
+        # points stops their source solves; those rows say why and have no
+        # result cells, and every other row is the row of a clean run
+        cfg = load_config(str(ROOT / "example.cfg"))
+        plan = replace(cfg.sweeps["sweep"], trials=4000)
+        clean = cli.run_sweep(plan, cfg)
+        sc = cfg.network_scenario(1)
+        broken = sc.pt_px.m * primary_threshold(sc) / (sc.pt_px.mean_gain * db_to_linear(12.0))
+        survival = analytic._expected_survival
+
+        def nan_at_12_db(factors, kappa, gains):
+            value = survival(factors, kappa, gains)
+            if isinstance(gains[0][1], np.ndarray):
+                value[(factors[0][1] == broken) & (gains[0][1] > 0.0)] = np.nan
+            return value
+
+        monkeypatch.setattr(analytic, "_expected_survival", nan_at_12_db)
+        rows = cli.run_sweep(plan, cfg)
+        assert len(rows) == len(clean)
+        failed = [i for i, r in enumerate(rows) if r.x_db == 12.0]
+        assert len(failed) == len(plan.outage_thresholds)
+        for i, (r, c) in enumerate(zip(rows, clean)):
+            if i not in failed:
+                assert r.as_csv() == c.as_csv()
+                continue
+            assert r.error.startswith("NumericalInstability: secondary source power: "
+                                      "constraint values ")
+            assert r.error.endswith("bracket no root") and "," not in r.error
+            assert (r.x_db, r.threshold, r.K, r.gamma_bar_p) == \
+                (c.x_db, c.threshold, c.K, c.gamma_bar_p)
+            assert r.as_csv().startswith(",".join(c.as_csv().split(",")[:4]) + "," * 9)
 
     @pytest.mark.parametrize("text", [
         SMALL.replace("outage_thresholds = 0.0, 0.1", "outage_thresholds = 0.1, 0.3"),

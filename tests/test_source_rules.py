@@ -50,7 +50,7 @@ def test_closed_forms_use_no_adaptive_quadrature():
 
 
 def test_no_module_imports_scipy_optimize():
-    # the power solver is analytic._brent; scipy.optimize (with the
+    # the power solver is analytic._solve; scipy.optimize (with the
     # scipy.linalg it loads) would cost every sweep about 0.25 s of start-up
     found = [hit for path in SOURCES for hit in _imports(path, "scipy.optimize")]
     assert not found, f"scipy.optimize imported by: {', '.join(found)}"
