@@ -180,11 +180,11 @@ def _within_brentq_tolerance(ours, ref):
     return abs(ours - ref) <= 1e-12 + 1e-15 * abs(ref)
 
 
-class TestLatticeSolver:
-    """``analytic._solve``, Chandrupatla's method over a batch of points."""
+class TestBrent:
+    """The roots of ``analytic._solve`` against scipy's brentq."""
 
     @WORKLOADS
-    def test_roots_match_brentq_on_every_sweep_point(self, path, monkeypatch):
+    def test_matches_brentq_on_every_sweep_solve(self, path, monkeypatch):
         # each power solved by the lattice is within brentq's tolerance of
         # the root brentq finds on the same one-point constraint
         bisected = 0
@@ -206,7 +206,7 @@ class TestLatticeSolver:
                 assert _within_brentq_tolerance(ours, ref), (ours, ref)
         assert bisected
 
-    def test_roots_match_brentq_on_random_monotone_functions(self):
+    def test_matches_brentq_on_random_monotone_functions(self):
         # scaled, shifted Weibull cdfs solved as one batch against threshold
         # 0: shapes from flat to steep, roots anywhere in brackets from 0.1
         # to 1e3 wide, values from 1e-3 to 1e3
@@ -225,6 +225,10 @@ class TestLatticeSolver:
             ref = brentq(lambda x: f(np.array([x]), np.array([i]))[0], 0.0, cap[i],
                          xtol=1e-12, rtol=1e-15)
             assert _within_brentq_tolerance(ours, ref), (i, ours, ref)
+
+
+class TestLatticeSolver:
+    """``analytic._solve``, Chandrupatla's method over a batch of points."""
 
     @WORKLOADS
     def test_constraint_holds_at_every_solved_power(self, path, monkeypatch):
