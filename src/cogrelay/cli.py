@@ -31,7 +31,7 @@ from .errors import CogrelayError, ConfigError, Infeasible
 from .model import (FadingLink, ModulationSpec, NetworkScenario, PowerProfile,
                     Scenario, db_to_linear, mpsk_constants, primary_threshold)
 from .analytic import (PrimaryOutageInputs, SecondaryCdfInputs, asep_kernel_scenario_a,
-                       asep_scenario_a, cdf_scenario_a, cdf_scenario_a_e2e,
+                       _expected_survival, asep_scenario_a, cdf_scenario_a, cdf_scenario_a_e2e,
                        cdf_scenario_b, primary_outage, relay_phase_outage,
                        solve_power_lattice, solve_secondary_source_power)
 from .config import RunConfig, SweepPlan, load_config
@@ -277,7 +277,8 @@ def run_selfcheck(out=None) -> int:
 
     from scipy.integrate import quad as _quad
     import math as _math
-    series = specfun.upper_incomplete_gamma_int(3, 2.5)
+    # Gamma(3, 2.5) = 2! Q(3, 2.5), the engine's factor at L = 1
+    series = 2.0 * _expected_survival([(3, 2.5)], 1.0, [])
     ref = _quad(lambda t: t ** 2 * _math.exp(-t), 2.5, _math.inf, epsrel=1e-13)[0]
     ok &= _check("integer-order incomplete gamma", series, ref, 1e-12, out)
 

@@ -311,9 +311,9 @@ def _proportion(hits: int, trials: int, seed: int) -> Estimate:
     return Estimate(value=p, trials=trials, ci_half_width=ci, seed=seed)
 
 
-def _score(draw, powers, K, scenario, theta, mod, exact, e2e):
+def _score(draw, powers, K, scenario, theta, mod, exact):
     # One row's outage hits, SEP sum and SEP sum of squares on this slice.
-    sep_sinr, sinr = _sinrs(draw, powers, scenario, K, exact, e2e and theta is not None)
+    sep_sinr, sinr = _sinrs(draw, powers, scenario, K, exact, theta is not None)
     hits = total = total_sq = 0.0
     if mod is not None:
         sep = 0.5 * mod.a * erfc(np.sqrt(mod.b * sep_sinr))
@@ -326,22 +326,19 @@ def _score(draw, powers, K, scenario, theta, mod, exact, e2e):
 
 def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]],
                   theta: float | None = None, mod: ModulationSpec | None = None,
-                  trials: int = DEFAULT_TRIALS, seed: int = 0, sinr_kind: str = "exact",
-                  metric: str = "e2e") -> list[tuple[Estimate | None, Estimate | None]]:
+                  trials: int = DEFAULT_TRIALS, seed: int = 0,
+                  sinr_kind: str = "exact") -> list[tuple[Estimate | None, Estimate | None]]:
     """Outage and ASEP estimates of every row, all scored on one draw of
     each trial slice.
 
     A row is a pair (K, powers): its relay count, at most ``scenario.K``,
     and its power profile; it reads the first K relays of ``scenario``.
-    Per row: the outage is the fraction of trials whose ``metric`` SINR
-    (``"e2e"``, or ``"s1"`` for source 1's in Scenario (a) only) falls
-    below ``theta``, the ASEP the average of the conditional SEP kernel
+    Per row: the outage is the fraction of trials whose end-to-end SINR
+    falls below ``theta``, the ASEP the average of the conditional SEP kernel
     a/2 * erfc(sqrt(b*gamma)) of ``mod`` over source 1's SINR in Scenario
     (a) and the selected relay's end-to-end SINR in Scenario (b); either
     is None when its ``theta`` or ``mod`` is not given."""
     exact = _is_exact(sinr_kind)
-    if metric not in ("e2e", "s1") or (metric == "s1" and scenario.scenario is Scenario.B):
-        raise ValueError(f"metric must be 'e2e', or 's1' in Scenario (a), got {metric!r}")
     if not rows:
         return []
     if not all(1 <= K <= scenario.K for K, _ in rows):
@@ -356,8 +353,8 @@ def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]
         # one (hits, SEP sum, SEP sum of squares) row per row; the hit
         # counts stay exact in float64
         draw = draw_gains(scenario, seed, n, start, names)
-        return np.array([_score(draw, powers, K, scenario, theta, mod, exact,
-                                metric == "e2e") for K, powers in rows])
+        return np.array([_score(draw, powers, K, scenario, theta, mod, exact)
+                         for K, powers in rows])
 
     out = []
     for hits, total, total_sq in _tally(trials, leaf).tolist():
@@ -370,14 +367,12 @@ def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]
 
 def estimate_outage(scenario: NetworkScenario, powers: PowerProfile,
                     theta: float, trials: int = DEFAULT_TRIALS,
-                    seed: int = 0, sinr_kind: str = "bounded",
-                    metric: str = "e2e") -> Estimate:
+                    seed: int = 0, sinr_kind: str = "bounded") -> Estimate:
     """Fraction of trials whose SINR falls below ``theta``.  Defaults to the
     upper-bounded SINR (``sinr_kind="bounded"``), whereas ``estimate_rows``
     and ``estimate_asep`` default to the exact one."""
     return estimate_rows(scenario, [(scenario.K, powers)], theta=theta,
-                         trials=trials, seed=seed, sinr_kind=sinr_kind,
-                         metric=metric)[0][0]
+                         trials=trials, seed=seed, sinr_kind=sinr_kind)[0][0]
 
 
 def estimate_asep(scenario: NetworkScenario, powers: PowerProfile,

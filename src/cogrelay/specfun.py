@@ -1,10 +1,11 @@
 """Special functions and algebraic kernels underlying the closed forms.
 
-Everything here is elementary but numerically delicate: integer-shape
-incomplete gamma via its finite series, the Tricomi confluent
-hypergeometric function via a fixed-node double-exponential quadrature
-of its integral representation, and partial-fraction expansion of
-products of simple-pole powers with arbitrary multiplicities.  All
+Everything here is elementary but numerically delicate: the Tricomi
+confluent hypergeometric function via a fixed-node double-exponential
+quadrature of its integral representation, and partial-fraction
+expansion of products of simple-pole powers with arbitrary
+multiplicities.  The integer-shape incomplete gamma is the factor
+Q(m, x) of the term engine, ``analytic._expected_survival``.  All
 gamma/factorial products are assembled in the log domain.
 
 The double-exponential (DE) rule is that of Takahasi & Mori ("Double
@@ -31,8 +32,6 @@ from .errors import NearDegeneratePoles
 __all__ = [
     "PoleSet",
     "de_rule",
-    "upper_incomplete_gamma_int",
-    "log_upper_incomplete_gamma_int",
     "tricomi_u",
     "partial_fraction_series",
     "partial_fractions",
@@ -64,32 +63,6 @@ class PoleSet:
     def min_relative_separation(self) -> float:
         return min((abs(a - b) / max(a, b) for (a, _), (b, _) in combinations(self.poles, 2)),
                    default=math.inf)
-
-
-def log_upper_incomplete_gamma_int(n: int, x: float) -> float:
-    """ln Gamma(n, x) for integer shape n >= 1, x >= 0.
-
-    Uses the finite series Gamma(n, x) = (n-1)! e^{-x} sum_{m<n} x^m/m!,
-    evaluated as a log-sum-exp so large x cannot underflow intermediate
-    terms.
-    """
-    if n < 1 or n != int(n):
-        raise ValueError(f"shape must be a positive integer, got {n}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    n = int(n)
-    if x == 0.0:
-        return math.lgamma(n)
-    logx = math.log(x)
-    terms = [m * logx - math.lgamma(m + 1) for m in range(n)]
-    peak = max(terms)
-    acc = math.fsum(math.exp(t - peak) for t in terms)
-    return math.lgamma(n) - x + peak + math.log(acc)
-
-
-def upper_incomplete_gamma_int(n: int, x: float) -> float:
-    """Gamma(n, x) for integer shape n >= 1, x >= 0."""
-    return math.exp(log_upper_incomplete_gamma_int(n, x))
 
 
 def de_rule(h: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:

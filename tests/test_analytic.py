@@ -305,24 +305,34 @@ def test_lattice_powers_are_batch_invariant(e, interferers, points, data):
 @settings(max_examples=60, deadline=None)
 @given(orders=st.lists(st.integers(1, 6), min_size=1, max_size=2),
        shapes=st.lists(st.integers(1, 6), min_size=1, max_size=2),
-       kappa=st.floats(0.5, 3.0), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-def test_expected_survival_over_arrays_equals_per_element_calls(orders, shapes, kappa, n, seed):
+       kappa=st.floats(0.5, 3.0), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       weighted=st.lists(st.booleans(), min_size=2, max_size=2))
+def test_expected_survival_over_arrays_equals_per_element_calls(orders, shapes, kappa, n, seed,
+                                                                 weighted):
     # one element of an array call has the value of a one-element call:
     # each element is contracted by its own vector-matrix product; zero
-    # scales (the log floor) included
+    # scales and zero weights (the log floor) included.  All-ones weights
+    # are the plain factor Q(m, .), bit for bit, and the factors commute
+    # up to the order of summation
     rng = np.random.default_rng(seed)
     cs = [10.0 ** rng.uniform(-3.0, 1.5, n) for _ in orders]
     a = [np.where(rng.random(n) < 0.2, 0.0, 10.0 ** rng.uniform(-2.0, 3.0, n)) for _ in shapes]
     b = rng.uniform(0.2, 5.0, len(shapes)).tolist()
+    factors = [tuple(np.where(rng.random(m) < 0.2, 0.0, 10.0 ** rng.uniform(-3.0, 3.0, m)))
+               if w else m for m, w in zip(orders, weighted)]
 
-    def call(idx):
+    def call(idx, factors=factors, order=slice(None)):
         return analytic._expected_survival(
-            [(m, c[idx]) for m, c in zip(orders, cs)], kappa,
+            list(zip(factors, [c[idx] for c in cs]))[order], kappa,
             [(m, ai[idx], bi) for m, ai, bi in zip(shapes, a, b)])
 
     whole = call(slice(None))
     assert whole.shape == (n,)
     assert np.array_equal(whole, np.concatenate([call(slice(i, i + 1)) for i in range(n)]))
+    ones = [(1.0,) * m for m in orders]
+    assert np.array_equal(call(slice(None), ones), call(slice(None), orders))
+    assert call(0, ones) == call(0, orders)
+    assert np.allclose(call(slice(None), order=slice(None, None, -1)), whole, rtol=1e-12, atol=0.0)
 
 
 class TestDirectionCdf:
@@ -566,60 +576,6 @@ class TestAsepCancellation:
             assert asep_kernel_scenario_a(inp, self.MOD) == pytest.approx(ref, rel=1e-12)
 
 
-def _log_pow(base, expo):
-    """expo * log(base) with the 0**0 = 1 convention."""
-    if expo == 0:
-        return 0.0
-    return -math.inf if base == 0.0 else expo * math.log(base)
-
-
-def _survival_side_loop(inp, theta):
-    """``analytic._survival_side`` term by term in Python floats."""
-    r = analytic._Rates(inp)
-    cx = r.qx * theta
-    mx, my, mz, mv = inp.x.m, inp.y.m, inp.z.m, inp.v.m
-    lp = _log_pow
-    lc = lambda n, k: math.log(math.comb(n, k))
-    lg = math.lgamma
-    sub = []
-    for varpi in range(mv):
-        for rho in range(mx):
-            for e1 in range(rho + 1):
-                for e2 in range(rho - e1 + 1):
-                    for t1 in range(varpi + 1):
-                        for t2 in range(varpi - t1 + 1):
-                            sub.append(math.exp(
-                                -cx * (r.beta + 1.0) - r.bv * r.beta
-                                + lc(rho, e1) + lc(rho - e1, e2)
-                                + lc(varpi, t1) + lc(varpi - t1, t2)
-                                + lp(r.beta + 1.0, rho - e1 - e2)
-                                + lp(r.beta, varpi - t1 - t2)
-                                + lp(cx, rho) - lg(rho + 1)
-                                + lp(r.bv, varpi) - lg(varpi + 1)
-                                + my * math.log(r.by) + lg(my + e1 + t1) - lg(my)
-                                - (my + e1 + t1) * math.log(cx + r.bv + r.by)
-                                + mz * math.log(r.bz) + lg(mz + e2 + t2) - lg(mz)
-                                - (mz + e2 + t2) * math.log(cx + r.bv + r.bz)))
-    s = cx + r.bv
-    terms = []
-    for i in range(mx):
-        for j in range(i + 1):
-            for k in range(mv + j):
-                for k1 in range(k + 1):
-                    for k2 in range(k1 + 1):
-                        terms.append(math.exp(
-                            -cx - r.beta * s
-                            + lp(cx, i) - lg(i + 1) + lc(i, j)
-                            + mv * math.log(r.bv) + lg(mv + j) - lg(mv)
-                            - (mv + j - k) * math.log(s) - lg(k + 1)
-                            + lc(k, k1) + lc(k1, k2) + lp(r.beta, k - k1)
-                            + mz * math.log(r.bz) + lg(mz + k2) - lg(mz)
-                            - (mz + k2) * math.log(s + r.bz)
-                            + my * math.log(r.by) + lg(my + k1 - k2) - lg(my)
-                            - (my + k1 - k2) * math.log(s + r.by)))
-    return analytic._chi1(inp, theta) - math.fsum(sub) + math.fsum(terms)
-
-
 def _shaped(mx, mw, my, mz, mv=2):
     return SecondaryCdfInputs(
         x=L(mx, 0.7), w=L(mw, 1.1), y=L(my, 0.9), z=L(mz, 0.05), v=L(mv, 0.04),
@@ -632,16 +588,6 @@ def _shaped(mx, mw, my, mz, mv=2):
 SHAPE_CASES = {"analytic_highm": (6, 5, 4, 3), "example": (3, 2, 2, 1), "m8": (8, 4, 3, 2),
                "rayleigh": (1, 1, 1, 1), "mw_above_mx": (2, 3, 1, 4)}
 SHAPES = pytest.mark.parametrize("shapes", list(SHAPE_CASES.values()), ids=list(SHAPE_CASES))
-
-
-@SHAPES
-def test_survival_side_bit_identical_to_term_loop(shapes):
-    # a last-bit change in single terms moves the fsum only now and then,
-    # hence the 40 thresholds per side
-    inp = _shaped(*shapes)
-    for side in (inp, inp.swapped()):
-        for theta in np.geomspace(0.05, 20.0, 40).tolist():
-            assert analytic._survival_side(side, theta) == _survival_side_loop(side, theta)
 
 
 def _asep_terms_reference(inp, r, alphas, mu):
@@ -685,11 +631,13 @@ def test_asep_terms_bit_identical_to_per_triple_assembly(shapes):
     assert np.array_equal(got, _asep_terms_reference(inp, r, alphas, mu))
 
 
-# The five finite-sum closed forms are calls of one term engine.  Each is
+# The six finite-sum closed forms are calls of one term engine.  Each is
 # checked against its original term formula summed in 50-digit mpmath on
 # the same float inputs: a triple sum for the multiple-access phase, a
-# double sum for the broadcast phase and chi2, a triple sum for chi1, and
-# a quadruple sum (trinomial in Y, beta and 1) for the relay pair.
+# double sum for the broadcast phase and chi2, a triple sum for chi1, a
+# quadruple sum (trinomial in Y, beta and 1) for the relay pair, and two
+# sextuple sums for the end-to-end side survival.  The binomials are exact
+# integers (``math.comb``; ``mp.binomial`` costs ~40 us a call).
 
 def _mp_gamma_moment(mp, m, j, b, x):
     """E[G^j e^{-x G}] = b^m Gamma(m+j) / (Gamma(m) (b + x)^{m+j}) for
@@ -702,7 +650,7 @@ def _mp_primary_survival(mp, inp):
     s1, s2 = mp.mpf(inp.gamma_bar_s1), mp.mpf(inp.gamma_bar_s2)
     return mp.fsum(
         mp.exp(-c) * c ** ell / mp.factorial(ell)
-        * mp.binomial(ell, t1) * mp.binomial(ell - t1, t2) * s1 ** t1 * s2 ** t2
+        * math.comb(ell, t1) * math.comb(ell - t1, t2) * s1 ** t1 * s2 ** t2
         * _mp_gamma_moment(mp, inp.f.m, t1, inp.f.rate, c * s1)
         * _mp_gamma_moment(mp, inp.g.m, t2, inp.g.rate, c * s2)
         for ell in range(inp.e.m) for t1 in range(ell + 1) for t2 in range(ell - t1 + 1))
@@ -712,7 +660,7 @@ def _mp_relay_phase_survival(mp, inp):
     c = mp.mpf(inp.e.m * inp.threshold / (inp.e.mean_gain * inp.gamma_bar_p))
     gr = mp.mpf(inp.gamma_bar_r)
     return mp.fsum(
-        mp.exp(-c) * c ** ell / mp.factorial(ell) * mp.binomial(ell, i) * gr ** (ell - i)
+        mp.exp(-c) * c ** ell / mp.factorial(ell) * math.comb(ell, i) * gr ** (ell - i)
         * _mp_gamma_moment(mp, inp.l.m, ell - i, inp.l.rate, c * gr)
         for ell in range(inp.e.m) for i in range(ell + 1))
 
@@ -722,7 +670,7 @@ def _mp_chi1(mp, inp, theta):
     cx, beta1 = mp.mpf(r.qx * theta), mp.mpf(r.beta + 1.0)
     return mp.fsum(
         mp.exp(-cx * beta1) * cx ** n / mp.factorial(n)
-        * mp.binomial(n, i1) * mp.binomial(n - i1, i2) * beta1 ** (n - i1 - i2)
+        * math.comb(n, i1) * math.comb(n - i1, i2) * beta1 ** (n - i1 - i2)
         * _mp_gamma_moment(mp, inp.y.m, i1, r.by, cx)
         * _mp_gamma_moment(mp, inp.z.m, i2, r.bz, cx)
         for n in range(inp.x.m) for i1 in range(n + 1) for i2 in range(n - i1 + 1))
@@ -732,7 +680,7 @@ def _mp_chi2(mp, inp, theta):
     r = analytic._Rates(inp)
     cw = mp.mpf(r.qw * theta)
     return mp.fsum(
-        mp.exp(-cw) * cw ** k / mp.factorial(k) * mp.binomial(k, k1)
+        mp.exp(-cw) * cw ** k / mp.factorial(k) * math.comb(k, k1)
         * _mp_gamma_moment(mp, inp.z.m, k1, r.bz, cw)
         for k in range(inp.w.m) for k1 in range(k + 1))
 
@@ -742,10 +690,46 @@ def _mp_relay_pair_survival(mp, inp, theta):
     cx, cw, beta = mp.mpf(r.qx * theta), mp.mpf(r.qw * theta), mp.mpf(r.beta)
     return mp.fsum(
         mp.exp(-(cx + cw) * (beta + 1)) * cx ** n / mp.factorial(n) * cw ** n1 / mp.factorial(n1)
-        * mp.binomial(n + n1, i1) * mp.binomial(n + n1 - i1, i2) * beta ** i2
+        * math.comb(n + n1, i1) * math.comb(n + n1 - i1, i2) * beta ** i2
         * _mp_gamma_moment(mp, inp.y.m, i1, r.by, cx + cw)
         for n in range(inp.x.m) for n1 in range(inp.w.m)
         for i1 in range(n + n1 + 1) for i2 in range(n + n1 - i1 + 1))
+
+
+def _mp_survival_side(mp, inp, theta):
+    """chi1 - E[Pr{X > (L+1) theta/gr}; V > L] + E[Pr{X > (V+1) theta/gr}; V > L]
+    for L = Z + Y + beta, term by term: the first expectation with X's
+    survival expanded in (L + 1)^rho and V's in L^varpi, the second with
+    X's expanded in (V + 1)^i and V's tail beyond L in L^k.  Both take the
+    Gamma moments of Y and Z at s = cx + bv; they and the powers are tabled
+    once per call, and so is the trinomial sum E[L^k e^{-s (Z+Y)}] of the
+    second."""
+    r = analytic._Rates(inp)
+    cx, bv, beta = mp.mpf(r.qx * theta), mp.mpf(r.bv), mp.mpf(r.beta)
+    mx, my, mz, mv = inp.x.m, inp.y.m, inp.z.m, inp.v.m
+    s = cx + bv
+    top = mx + mv
+    ym = [_mp_gamma_moment(mp, my, j, r.by, s) for j in range(top)]
+    zm = [_mp_gamma_moment(mp, mz, j, r.bz, s) for j in range(top)]
+    cx_n, bv_n = ([x ** n / mp.factorial(n) for n in range(top)] for x in (cx, bv))
+    beta_n, beta1_n, s_n = ([x ** n for n in range(top)] for x in (beta, beta + 1, 1 / s))
+    both = mp.exp(-cx * (beta + 1) - bv * beta) * mp.fsum(
+        cx_n[rho] * bv_n[varpi]
+        * math.comb(rho, e1) * math.comb(rho - e1, e2) * beta1_n[rho - e1 - e2]
+        * math.comb(varpi, t1) * math.comb(varpi - t1, t2) * beta_n[varpi - t1 - t2]
+        * ym[e1 + t1] * zm[e2 + t2]
+        for varpi in range(mv) for rho in range(mx)
+        for e1 in range(rho + 1) for e2 in range(rho - e1 + 1)
+        for t1 in range(varpi + 1) for t2 in range(varpi - t1 + 1))
+    lk = [mp.fsum(math.comb(k, k1) * math.comb(k1, k2) * beta_n[k - k1] * zm[k2] * ym[k1 - k2]
+                  for k1 in range(k + 1) for k2 in range(k1 + 1)) for k in range(top - 1)]
+    # V's tail beyond L: bv^mv Gamma(mv+j) / Gamma(mv) sum_{k<mv+j}
+    # e^{-s L} L^k / (k! s^(mv+j-k))
+    beyond = mp.exp(-cx - beta * s) * bv ** mv / mp.factorial(mv - 1) * mp.fsum(
+        cx_n[i] * math.comb(i, j) * math.factorial(mv + j - 1) * s_n[mv + j - k]
+        * lk[k] / math.factorial(k)
+        for i in range(mx) for j in range(i + 1) for k in range(mv + j))
+    return _mp_chi1(mp, inp, theta) - both + beyond
 
 
 def _random_engine_inputs(rng):
@@ -795,6 +779,27 @@ def test_closed_forms_match_50_digit_term_sums(prim, sec):
             assert [got(sec, theta) for theta in thetas.tolist()] == pytest.approx(
                 want, rel=1e-12, abs=0.0)
             assert got(sec, thetas) == pytest.approx(want, rel=1e-12, abs=0.0)
+        # the side survival is chi1 minus a sum plus a sum, so it loses
+        # digits in proportion to chi1 / side (3.6e-8 at a ratio of 8.5e6).
+        # The rule rel <= 1e-12 + 2e-14 chi1 / side also holds for the
+        # sextuple term table that this form replaced (at most 0.65 of it)
+        for side in (sec, sec.swapped()):
+            for theta in thetas.tolist():
+                want = _mp_survival_side(mp, side, theta)
+                ratio = analytic._chi1(side, theta) / float(want)
+                assert analytic._survival_side(side, theta) == pytest.approx(
+                    float(want), rel=1e-12 + 2e-14 * ratio, abs=0.0)
+
+
+@SHAPES
+def test_survival_side_matches_50_digit_term_sums(shapes):
+    mp = pytest.importorskip("mpmath")
+    inp = _shaped(*shapes)
+    with mp.workdps(50):
+        for side in (inp, inp.swapped()):
+            for theta in np.geomspace(0.05, 20.0, 40).tolist():
+                assert analytic._survival_side(side, theta) == pytest.approx(
+                    float(_mp_survival_side(mp, side, theta)), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("prim, sec", list(_engine_cases()))

@@ -1,4 +1,5 @@
-"""Special-function layer: incomplete gamma, Tricomi U, partial fractions."""
+"""Special-function layer: Tricomi U, partial fractions, and the
+integer-shape incomplete gamma of the term engine."""
 
 import math
 
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
+from cogrelay.analytic import _expected_survival
 from cogrelay.errors import NearDegeneratePoles
 from cogrelay.specfun import (POLE_SEPARATION_FLOOR, PoleSet,
-                              partial_fraction_series, partial_fractions,
-                              tricomi_u, upper_incomplete_gamma_int)
+                              partial_fraction_series, partial_fractions, tricomi_u)
 
 
 def _direct_product(poles: PoleSet, t: float) -> float:
@@ -48,12 +49,15 @@ def _partial_fractions_loop(poles: PoleSet) -> list[tuple[int, int, float]]:
 
 
 class TestIncompleteGamma:
+    # the package's integer-shape incomplete gamma is the term engine's
+    # factor Q(n, x) = Gamma(n, x) / (n-1)!, here with L = 1
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("x", [1e-3, 0.5, 2.5, 10.0, 40.0])
     def test_series_matches_quadrature(self, n, x):
         ref, _ = quad(lambda t: t ** (n - 1) * math.exp(-t), x, math.inf,
                       epsabs=1e-300, epsrel=1e-13)
-        assert upper_incomplete_gamma_int(n, x) == pytest.approx(ref, rel=1e-12)
+        assert math.gamma(n) * _expected_survival([(n, x)], 1.0, []) == pytest.approx(
+            ref, rel=1e-12)
 
 
 class TestTricomiU:
