@@ -30,7 +30,6 @@ from itertools import accumulate, product
 from math import comb, exp, fsum, lgamma, log
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import Infeasible, NearDegeneratePoles, NumericalInstability
 from .model import FadingLink, ModulationSpec
@@ -509,8 +508,12 @@ def _asep_terms(inputs: SecondaryCdfInputs, r: _Rates, alphas: np.ndarray,
     batched call, and Psi is one ``tricomi_u`` call on the (s, pole, j)
     grid.  The products are formed on the dense (k1, i2, i1, s, pole, j)
     grid; the terms that exist (the group has pairs and j is at most the
-    pole's multiplicity) are returned in that C order.
+    pole's multiplicity) are returned in that C order.  Only this closed
+    form needs ``scipy.special`` (here and in ``tricomi_u``), so it is
+    imported here and a sweep does not load it.
     """
+    from scipy.special import gamma
+
     mx, mw, my, mz = inputs.x.m, inputs.w.m, inputs.y.m, inputs.z.m
     # the chi1 terms (n, i1, i2) and chi2 terms (k, k1) of the engine
     expo, c1 = _term_table((mx,), (my, mz))

@@ -27,11 +27,14 @@ depend on the relay count either, so the first K relays of a draw for K'
 > K relays are exactly the draw for K relays.
 
 The estimators draw each trial slice once, for the largest relay count
-among their rows, and score every row on it; a Scenario (b) row of
-relay count K selects the best of relays 0..K-1.  Only the links the
+among their rows, and score each distinct row on it once: a row that
+repeats a (K, powers) pair, such as both thresholds of a grid point
+whose powers are capped, gets that pair's estimates.  A Scenario (b) row
+of relay count K selects the best of relays 0..K-1.  Only the links the
 secondary SINRs read are drawn (x, w, y per relay, plus z, v in Scenario
 (a)), at their ``link_table`` stream ids, so each gain equals that of a
-full draw.
+full draw.  The SEP kernel's erfc is ``specfun.erfc_sqrt``, a numpy port
+of Cephes, so the engine needs numpy only.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import erfc
 
 from .model import ModulationSpec, NetworkScenario, PowerProfile, Scenario
 from .analytic import PrimaryOutageInputs
+from .specfun import erfc_sqrt
 
 __all__ = [
     "Estimate",
@@ -152,18 +155,27 @@ def _amp_gain_sq(draw, powers: PowerProfile):
     return 1.0 / (p * draw["y"] + s * draw["w"] + s * draw["x"] + 1.0)
 
 
-def _direction(draw, powers: PowerProfile, g2, x: str, w: str, z: str):
+def _amp_terms(draw, powers: PowerProfile):
+    """The factors g2 rl, g2 rl s and g2 rl p y of both exact directions,
+    each computed once per draw from one amplifier gain g2; each is the
+    leading product of the exact SINR's terms, so the SINRs are the same
+    floats as with the factors written out."""
+    g = _amp_gain_sq(draw, powers) * powers.gamma_bar_r
+    return g, g * powers.gamma_bar_s, g * powers.gamma_bar_p * draw["y"]
+
+
+def _direction(draw, powers: PowerProfile, amp, x: str, w: str, z: str):
     """SINR at the source that hears the relay over link ``w``, its partner
     over ``x`` and the primary transmitter over ``z``: exact for the
-    amplifier gain ``g2``, the upper bound when ``g2`` is None.  Source 1
-    reads (x, w, z) and source 2 (w, x, v), the swap of
-    ``SecondaryCdfInputs.swapped``."""
+    amplifier factors ``amp`` of ``_amp_terms``, the upper bound when
+    ``amp`` is None.  Source 1 reads (x, w, z) and source 2 (w, x, v), the
+    swap of ``SecondaryCdfInputs.swapped``."""
     p, s, rl = powers.gamma_bar_p, powers.gamma_bar_s, powers.gamma_bar_r
     x, w, z = draw[x], draw[w], draw[z]
-    if g2 is not None:
-        num = g2 * rl * s * x * w
-        den = p * z + g2 * rl * p * draw["y"] * w + g2 * rl * w + 1.0
-        return num / den
+    if amp is not None:
+        # g2 rl s x w / (p z + g2 rl p y w + g2 rl w + 1)
+        g, gs, gpy = amp
+        return gs * x * w / (p * z + gpy * w + g * w + 1.0)
     y, z = (rl * p / s) * draw["y"], p * z
     return rl * np.minimum(x / (z + y + rl / s + 1.0), w / (z + 1.0))
 
@@ -173,11 +185,11 @@ def exact_sinr_s1(draw, powers: PowerProfile):
     signal: desired two-hop component over primary direct interference,
     amplified primary interference, amplified relay noise and local
     noise."""
-    return _direction(draw, powers, _amp_gain_sq(draw, powers), "x", "w", "z")
+    return _direction(draw, powers, _amp_terms(draw, powers), "x", "w", "z")
 
 
 def exact_sinr_s2(draw, powers: PowerProfile):
-    return _direction(draw, powers, _amp_gain_sq(draw, powers), "w", "x", "v")
+    return _direction(draw, powers, _amp_terms(draw, powers), "w", "x", "v")
 
 
 def bounded_sinr_s1(draw, powers: PowerProfile):
@@ -242,11 +254,11 @@ def _sinrs(draw, powers, scenario, K, exact, e2e):
     2's if ``e2e``, both from one amplifier gain.  Scenario (b): the best
     of relays 0..K-1 for both."""
     if scenario.scenario is Scenario.A:
-        g2 = _amp_gain_sq(draw, powers) if exact else None
-        s1 = _direction(draw, powers, g2, "x", "w", "z")
+        amp = _amp_terms(draw, powers) if exact else None
+        s1 = _direction(draw, powers, amp, "x", "w", "z")
         if not e2e:
             return s1, s1
-        return s1, np.minimum(s1, _direction(draw, powers, g2, "w", "x", "v"))
+        return s1, np.minimum(s1, _direction(draw, powers, amp, "w", "x", "v"))
     per_relay = _exact_pair_min_b if exact else _bounded_pair_min_b
     out = per_relay(draw, powers, 0)
     for k in range(1, K):
@@ -312,11 +324,12 @@ def _proportion(hits: int, trials: int, seed: int) -> Estimate:
 
 
 def _score(draw, powers, K, scenario, theta, mod, exact):
-    # One row's outage hits, SEP sum and SEP sum of squares on this slice.
+    # One row's outage hits, SEP sum and SEP sum of squares on this slice;
+    # the SEP is a/2 * erfc(sqrt(b * SINR)) by ``specfun.erfc_sqrt``.
     sep_sinr, sinr = _sinrs(draw, powers, scenario, K, exact, theta is not None)
     hits = total = total_sq = 0.0
     if mod is not None:
-        sep = 0.5 * mod.a * erfc(np.sqrt(mod.b * sep_sinr))
+        sep = 0.5 * mod.a * erfc_sqrt(mod.b * sep_sinr)
         total = sep.sum()
         total_sq = (sep * sep).sum()
     if theta is not None:
@@ -329,15 +342,17 @@ def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]
                   trials: int = DEFAULT_TRIALS, seed: int = 0,
                   sinr_kind: str = "exact") -> list[tuple[Estimate | None, Estimate | None]]:
     """Outage and ASEP estimates of every row, all scored on one draw of
-    each trial slice.
+    each trial slice; a row that repeats an earlier one is not scored
+    again but gets its estimates.
 
     A row is a pair (K, powers): its relay count, at most ``scenario.K``,
     and its power profile; it reads the first K relays of ``scenario``.
     Per row: the outage is the fraction of trials whose end-to-end SINR
     falls below ``theta``, the ASEP the average of the conditional SEP kernel
-    a/2 * erfc(sqrt(b*gamma)) of ``mod`` over source 1's SINR in Scenario
-    (a) and the selected relay's end-to-end SINR in Scenario (b); either
-    is None when its ``theta`` or ``mod`` is not given."""
+    a/2 * erfc(sqrt(b*gamma)) of ``mod`` (``specfun.erfc_sqrt``) over source
+    1's SINR in Scenario (a) and the selected relay's end-to-end SINR in
+    Scenario (b); either is None when its ``theta`` or ``mod`` is not
+    given."""
     exact = _is_exact(sinr_kind)
     if not rows:
         return []
@@ -348,16 +363,20 @@ def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]
     # and no relay beyond the rows' largest relay count.
     names = [name for name, _ in link_table(scenario)
              if name[0] not in "efgl" and int(name[1:] or 0) < kmax]
+    # PowerProfile is frozen, so a row is hashable: position of each row's
+    # first occurrence among the distinct rows
+    distinct = {row: i for i, row in enumerate(dict.fromkeys(rows))}
 
     def leaf(start, n):
-        # one (hits, SEP sum, SEP sum of squares) row per row; the hit
-        # counts stay exact in float64
+        # one (hits, SEP sum, SEP sum of squares) row per distinct row; the
+        # hit counts stay exact in float64
         draw = draw_gains(scenario, seed, n, start, names)
         return np.array([_score(draw, powers, K, scenario, theta, mod, exact)
-                         for K, powers in rows])
+                         for K, powers in distinct])
 
     out = []
-    for hits, total, total_sq in _tally(trials, leaf).tolist():
+    sums = _tally(trials, leaf)[[distinct[row] for row in rows]]
+    for hits, total, total_sq in sums.tolist():
         mean = total / trials
         ci = 1.96 * math.sqrt(max(total_sq / trials - mean * mean, 0.0) / trials)
         out.append((None if theta is None else _proportion(int(hits), trials, seed),

@@ -267,15 +267,29 @@ class TestSelfCheck:
 
 
 def test_import_leaves_oracles_unloaded():
-    # the quadrature oracles are only for the self-check, and
-    # scipy.integrate, scipy.optimize and the scipy.linalg they pull in
-    # cost a sweep a large share of its start-up time
-    modules = ["cogrelay.oracle", "scipy.integrate", "scipy.optimize", "scipy.linalg"]
-    code = f"import sys, cogrelay.cli; print([m in sys.modules for m in {modules}])"
+    # the quadrature oracles are only for the self-check, and scipy (which
+    # serves them, the self-check and the paper's closed-form ASEP) would
+    # cost a sweep most of its start-up time: neither the import nor full
+    # sweeps of both scenarios, Monte Carlo SEP included, may load it
+    modules = ["cogrelay.oracle", "scipy"]
+    code = f"""
+import sys
+from dataclasses import replace
+import cogrelay.cli as cli
+from cogrelay.config import load_config, parse_config
+print([m in sys.modules for m in {modules}])
+for cfg in (load_config({str(ROOT / "example.cfg")!r}), parse_config({SMALL_B!r})):
+    rows = cli.run_sweep(replace(cfg.sweeps["sweep"], trials=2000), cfg)
+    print(cfg.scenario_kind.name, sum(r.mc_oc is not None for r in rows),
+          sum(r.mc_asep is not None for r in rows))
+print([m in sys.modules for m in {modules}])
+"""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == str([False] * len(modules))
+    unloaded = str([False] * len(modules))
+    # 22 example rows with Monte Carlo SEP, 6 Scenario (b) rows without
+    assert out.stdout.split("\n") == [unloaded, "A 22 22", "B 6 0", unloaded, ""]
 
 
 class TestMain:

@@ -269,6 +269,19 @@ class TestOnePass:
                          mod=mpsk_constants(4), trials=4096, seed=25)
         assert len(calls) == 2 * 4
 
+    def test_repeated_rows_are_scored_once(self, monkeypatch):
+        # a row that repeats an earlier (K, powers) pair is not scored again
+        # and gets exactly the estimates of that row scored on its own
+        sc = scenario_a(z_gain=0.3, v_gain=0.2)
+        kw = dict(theta=2.0, mod=mpsk_constants(4), trials=4096, seed=28)
+        first, second = (1, POWERS), (1, TestSlices.P2)
+        alone = [mc.estimate_rows(sc, [row], **kw)[0] for row in (first, second)]
+        calls = self._count(monkeypatch, "_amp_gain_sq")
+        monkeypatch.setattr(mc, "_SLICE", 1024)   # 4096 trials in 4 slices
+        got = mc.estimate_rows(sc, [first, second, first], **kw)
+        assert len(calls) == 2 * 4
+        assert got == [alone[0], alone[1], alone[0]]
+
     def test_one_pair_min_per_relay_row_and_slice(self, monkeypatch):
         calls = self._count(monkeypatch, "_exact_pair_min_b")
         monkeypatch.setattr(mc, "_SLICE", 1024)

@@ -1,5 +1,6 @@
-"""Special-function layer: Tricomi U, partial fractions, and the
-integer-shape incomplete gamma of the term engine."""
+"""Special-function layer: Tricomi U, partial fractions, the erfc of the
+Monte Carlo SEP, and the integer-shape incomplete gamma of the term
+engine."""
 
 import math
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from cogrelay.analytic import _expected_survival
 from cogrelay.errors import NearDegeneratePoles
-from cogrelay.specfun import (POLE_SEPARATION_FLOOR, PoleSet,
+from cogrelay.specfun import (POLE_SEPARATION_FLOOR, PoleSet, erfc_sqrt,
                               partial_fraction_series, partial_fractions, tricomi_u)
 
 
@@ -115,6 +117,55 @@ class TestTricomiU:
             tricomi_u(np.array([1.5, 0.0]), 0.5, 1.0)
         with pytest.raises(ValueError):
             tricomi_u(1.5, 0.5, -1.0)
+
+
+class TestErfcSqrt:
+    """``erfc_sqrt`` is a port of the Cephes erfc that scipy evaluates, so
+    scipy is the reference value by value, and mpmath the exact one."""
+
+    @staticmethod
+    def _tail_x():
+        # x = sqrt(z) >= 1 across both rational branches, the branch points
+        # and the underflow at x^2 = MAXLOG = 709.78 (x = 26.642)
+        rng = np.random.default_rng(5)
+        return np.concatenate([rng.uniform(1.0, 8.0, 20_000), rng.uniform(8.0, 30.0, 20_000),
+                               np.linspace(0.999, 1.001, 401), np.linspace(7.999, 8.001, 401),
+                               np.linspace(26.63, 26.66, 401), [1.0, 8.0, 1e3, np.inf]])
+
+    def test_bit_identical_to_scipy_below_one(self):
+        rng = np.random.default_rng(4)
+        z = np.concatenate([rng.random(100_000), rng.random(1000) * 1e-12,
+                            [0.0, 5e-324, np.nextafter(1.0, 0.0)]])
+        assert np.array_equal(erfc_sqrt(z), erfc(np.sqrt(z)))
+
+    def test_matches_scipy_at_and_beyond_one(self):
+        z = self._tail_x() ** 2
+        got, ref = erfc_sqrt(z), erfc(np.sqrt(z))
+        normal = ref >= np.finfo(float).tiny
+        assert normal.sum() > 30_000
+        assert np.max(np.abs(got[normal] - ref[normal]) / ref[normal]) <= 1e-15
+        # Cephes returns 0 once x^2 exceeds MAXLOG, not a subnormal
+        assert (ref == 0.0).sum() > 1000
+        assert np.all(got[ref == 0.0] == 0.0)
+
+    def test_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        x = np.concatenate([np.linspace(0.0, 0.99, 34), np.linspace(0.98, 1.02, 41),
+                            np.linspace(1.0, 8.0, 57), np.linspace(7.98, 8.02, 41),
+                            np.linspace(8.0, 26.0, 37)])
+        z = x * x
+        with mp.workdps(50):
+            ref = np.array([float(mp.erfc(mp.sqrt(mp.mpf(v)))) for v in z])
+        # measured 8.3e-16
+        assert np.max(np.abs(erfc_sqrt(z) - ref) / ref) <= 2e-15
+
+    def test_nan_and_shape(self):
+        z = np.array([[0.25, np.nan], [4.0, 0.0]])
+        got = erfc_sqrt(z)
+        assert got.shape == z.shape
+        assert np.isnan(got[0, 1]) and got[1, 1] == 1.0
+        assert got[0, 0] == erfc(0.5) and got[1, 0] == pytest.approx(erfc(2.0), rel=1e-15)
+        assert erfc_sqrt(0.25).shape == ()
 
 
 class TestPartialFractions:
