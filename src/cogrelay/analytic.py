@@ -7,18 +7,24 @@ L = kappa + sum_i a_i G_i is a sum of independent Gamma gains: the two
 primary outages, chi1 and chi2 of Scenario (a), the end-to-end side
 survival of Scenario (a) (split on V) and the relay-pair survival of
 Scenario (b) are calls of one term engine, ``_expected_survival``, whose
-terms come from the multinomial theorem and the Gamma Laplace transform;
-it broadcasts over the scales and contracts each element on its own.  One
-lattice solver, ``_solve``, finds every regulated power of a sweep at
-once.  The printed forms in the source material contain transcription
-slips, so every function is assembled directly from the underlying
-expectation integrals; the quadrature oracles in :mod:`cogrelay.oracle`
-and the Monte Carlo engine arbitrate.
+terms come from the multinomial theorem and the Gamma Laplace transform.
+Every input of the engine broadcasts (the scales, kappa, the gain rates
+and the series weights) and each element is contracted on its own, so a
+whole sweep is one engine call.  One lattice solver, ``_solve``, finds
+every regulated power of a sweep at once, and the closed forms the sweep
+reports take one link set with arrays of powers (``*_lattice``, one row
+each); their scalar forms are one-row calls.  The printed forms in the
+source material contain transcription slips, so every function is
+assembled directly from the underlying expectation integrals; the
+quadrature oracles in :mod:`cogrelay.oracle` and the Monte Carlo engine
+arbitrate.
 
 Terms are put together in the log domain, so integer severities up to ~8
-and SNRs up to ~40 dB stay well inside double range.  Sums at a scalar
-theta are compensated (``math.fsum``); sums over an array of thetas and
-the double-exponential kernel rule are numpy's pairwise sums.
+and SNRs up to ~40 dB stay well inside double range.  A closed form at
+one theta sums each element's terms with ``math.fsum``, whether the
+element is one point or one row of a sweep; over an array of thetas (the
+nodes of the double-exponential kernel rule) or of powers (the power
+solve) the sums are numpy's pairwise sums.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from math import comb, exp, fsum, lgamma, log
 
 import numpy as np
 
-from .errors import Infeasible, NearDegeneratePoles, NumericalInstability
+from .errors import CogrelayError, Infeasible, NearDegeneratePoles, NumericalInstability
 from .model import FadingLink, ModulationSpec
 from .specfun import de_rule, partial_fraction_series, tricomi_u
 
@@ -46,9 +52,12 @@ __all__ = [
     "solve_power_lattice",
     "cdf_scenario_a",
     "cdf_scenario_a_e2e",
+    "cdf_scenario_a_e2e_lattice",
     "cdf_scenario_b",
+    "cdf_scenario_b_lattice",
     "asep_scenario_a",
     "asep_kernel_scenario_a",
+    "asep_kernel_scenario_a_lattice",
 ]
 
 # Probabilities may overshoot [0, 1] by at most this much before we call
@@ -65,6 +74,14 @@ CANCELLATION_LIMIT = 1e5
 # h = 1/16 (at h = 1/8 the kernel is off by 3e-10; nodes beyond
 # |u| = 6.25 see less than e^-250 of the integrand's peak).
 _KERNEL_OFFSETS, _KERNEL_WEIGHTS = de_rule(1.0 / 16.0, 100)
+
+# Largest temporary of asep_kernel_scenario_a_lattice, in floats: a block
+# of rows x 201 nodes x the terms of chi1 or chi2.  2**15 (256 KB) gives
+# the analytic_highm sweep (56 terms) blocks of 2 rows and example.cfg
+# (10 terms) blocks of 16.  On analytic_highm (2 vCPUs, numpy 2.4.6) the
+# rule takes ~22 ms in blocks of 2 rows and ~31 ms row by row; blocks of 8
+# take ~17 ms, but their 720 KB temporaries raise the peak RSS by 0.7 MB.
+_KERNEL_FLOATS = 2 ** 15
 
 # Stands in for log 0 in the term engine: times an exponent 0 it adds 0
 # (0**0 = 1), times a positive one, or as the log of a zero weight, it
@@ -98,26 +115,59 @@ class PrimaryOutageInputs:
 @dataclass(frozen=True)
 class SecondaryCdfInputs:
     """Symbols of the secondary SINR cdf: secondary links, interference
-    links and transmit SNRs."""
+    links and transmit SNRs.  The SNRs are floats, or arrays of one shape
+    whose elements are the rows of a lattice (1-D for the ``*_lattice``
+    closed forms)."""
 
     x: FadingLink          # R  <-> S2
     w: FadingLink          # R  <-> S1
     y: FadingLink          # PT -> R
     z: FadingLink | None   # PT -> S1 (None in Scenario (b))
     v: FadingLink | None   # PT -> S2 (None in Scenario (b))
-    gamma_bar_p: float
-    gamma_bar_s: float
-    gamma_bar_r: float
+    gamma_bar_p: float | np.ndarray
+    gamma_bar_s: float | np.ndarray
+    gamma_bar_r: float | np.ndarray
 
     def __post_init__(self):
-        for name in ("gamma_bar_p", "gamma_bar_s", "gamma_bar_r"):
-            if not (getattr(self, name) > 0.0):
+        for name in _POWERS:
+            if not np.all(np.greater(getattr(self, name), 0.0)):
                 raise ValueError(f"{name} must be positive")
 
     def swapped(self) -> "SecondaryCdfInputs":
         """Parameter binding for the opposite direction (S2 receiving):
         x <-> w and z <-> v."""
         return replace(self, x=self.w, w=self.x, z=self.v, v=self.z)
+
+
+_POWERS = ("gamma_bar_p", "gamma_bar_s", "gamma_bar_r")
+
+
+def _one_row(inputs: SecondaryCdfInputs) -> SecondaryCdfInputs:
+    """``inputs`` (float SNRs) as the one row of a lattice."""
+    return replace(inputs, **{name: np.array([getattr(inputs, name)]) for name in _POWERS})
+
+
+def _raised(lattice_result) -> float:
+    """The value of a one-row lattice result, or raise its error."""
+    (value,), (error,) = lattice_result
+    if error is not None:
+        raise error
+    return float(value)
+
+
+def _per_row(fn, items) -> tuple[np.ndarray, list]:
+    """``fn`` of each item: the values (NaN where it raised a
+    CogrelayError) and per item None or that error, as ``_solve``
+    returns them."""
+    values, errors = [], []
+    for item in items:
+        try:
+            values.append(fn(item))
+            errors.append(None)
+        except CogrelayError as exc:
+            values.append(math.nan)
+            errors.append(exc)
+    return np.array(values, dtype=float), errors
 
 
 def _frozen(*columns) -> tuple[np.ndarray, ...]:
@@ -157,17 +207,17 @@ def _term_table(orders: tuple[int, ...], shapes: tuple[int, ...]) -> tuple[np.nd
     return _frozen(rows, const)
 
 
-def _expected_survival(factors, kappa: float, gains):
+def _expected_survival(factors, kappa, gains, pairwise=False):
     """E[prod_f Q_f(c_f L)] for L = kappa + sum_i a_i G_i, where each Q_f is
     the integer-shape Gamma survival Q(m, x) = e^{-x} sum_{n<m} x^n/n! or a
     weighted series e^{-x} sum_{n<N} w_n x^n/n! (w_n >= 0), and the
     G_i ~ Gamma(m_i, rate b_i) are independent.  ``factors`` holds the
-    pairs (m_f, c_f), or (w_f, c_f) with w_f a sequence of the N weights
-    (Q(m, x) is the case w = (1,)*m), and ``gains`` the triples (m_i, a_i,
-    b_i).
-    The c_f and a_i are scalars, or arrays broadcast to one shape over
-    which the result is elementwise; kappa > 0, the w_n and the b_i are
-    scalars.
+    pairs (m_f, c_f), or (w_f, c_f) with w_f the N weights along a last
+    axis (Q(m, x) is the case w = (1,)*m), and ``gains`` the triples (m_i,
+    a_i, b_i).
+    kappa > 0, the c_f, a_i and b_i and the leading axes of the w_f are
+    scalars or arrays broadcast to one shape, over which the result is
+    elementwise.
 
     With s = sum c_f, (c_f L)^{n_f} = (c_f kappa)^{n_f} (1 + sum_i a_i G_i /
     kappa)^{n_f}, the multinomial theorem and E[G^j e^{-s a G}] =
@@ -178,30 +228,38 @@ def _expected_survival(factors, kappa: float, gains):
     exponents, where log 0 is floored so that 0**0 = 1 (a_i = 0 keeps its
     j_i = 0 terms) and a zero weight drops its terms; each element has its
     own vector-matrix product, so its value does not depend on the others.
-    Scalars sum the terms with ``fsum``, arrays pairwise.
+    Each element's terms are summed with ``fsum``, or with numpy's pairwise
+    sum if ``pairwise``.
     """
-    orders = tuple(m if isinstance(m, int) else len(m) for m, _ in factors)
+    orders = tuple(m if isinstance(m, int) else np.shape(m)[-1] for m, _ in factors)
     cs = [c for _, c in factors]
     s = sum(cs)
     expo, const = _term_table(orders, tuple(m for m, _, _ in gains))
     for f, (w, _) in enumerate(factors):
         if not isinstance(w, int):
-            log_w = np.array([log(v) if v > 0.0 else _LOG_ZERO for v in w])
-            const = const + log_w[expo[:, f].astype(np.intp)]
+            w = np.asarray(w, dtype=float)
+            log_w = np.reshape([log(v) if v > 0.0 else _LOG_ZERO for v in w.ravel().tolist()],
+                               w.shape)
+            const = const + log_w[..., expo[:, f].astype(np.intp)]
     cols = [*(c * kappa for c in cs), *(a / (kappa * (b + s * a)) for _, a, b in gains),
             *(b / (b + s * a) for _, a, b in gains)]
-    x = np.empty((*np.broadcast(*cols).shape, len(cols)))
+    x = np.empty((*np.broadcast_shapes(*map(np.shape, cols), const.shape[:-1]), len(cols)))
     for i, col in enumerate(cols):
         x[..., i] = col
     logs = np.full((*x.shape[:-1], x.shape[-1] + 1), _LOG_ZERO)
     np.log(x, out=logs[..., :-1], where=x > 0.0)
     logs[..., -1] = -s * kappa
-    terms = np.exp(np.matmul(logs[..., None, :], expo.T)[..., 0, :] + const)
-    return fsum(terms.tolist()) if terms.ndim == 1 else terms.sum(axis=-1)
+    terms = np.matmul(logs[..., None, :], expo.T)[..., 0, :]
+    terms += const
+    np.exp(terms, out=terms)
+    if pairwise:
+        return terms.sum(axis=-1)
+    sums = [fsum(row.tolist()) for row in terms.reshape(-1, terms.shape[-1])]
+    return sums[0] if terms.ndim == 1 else np.reshape(sums, terms.shape[:-1])
 
 
 def _clamp_probability(p: float, where: str) -> float:
-    if p < -CLAMP_TOL or p > 1.0 + CLAMP_TOL:
+    if not -CLAMP_TOL <= p <= 1.0 + CLAMP_TOL:
         raise NumericalInstability(f"{where}: probability {p!r} outside [0,1] beyond tolerance")
     return min(1.0, max(0.0, p))
 
@@ -209,7 +267,7 @@ def _clamp_probability(p: float, where: str) -> float:
 def _asep_value(kernel: float, mod: ModulationSpec, where: str) -> float:
     """a/2 - a sqrt(b) / (2 sqrt(pi)) * kernel, clamped to [0, a/2]."""
     value = mod.a / 2.0 - mod.a * math.sqrt(mod.b) / (2.0 * math.sqrt(math.pi)) * kernel
-    if value < -CLAMP_TOL or value > mod.a / 2.0 + 1e-9:
+    if not -CLAMP_TOL <= value <= mod.a / 2.0 + 1e-9:
         raise NumericalInstability(f"{where}: value {value!r} outside [0, a/2]")
     return min(mod.a / 2.0, max(0.0, value))
 
@@ -222,10 +280,12 @@ def _outage(e: FadingLink, gamma_bar_p, threshold: float, interferers):
     """1 - E[Q(m_e, c (1 + sum_i snr_i G_i))], c = m_e threshold /
     (Omega_e gamma_bar_p): the outage of primary link ``e`` at SINR
     ``threshold`` against the ``interferers``, pairs (link, SNR); the SNRs
-    and gamma_bar_p are scalars or arrays, as in ``_expected_survival``."""
+    and gamma_bar_p are scalars or arrays (summed pairwise), as in
+    ``_expected_survival``."""
     c = e.m * threshold / (e.mean_gain * gamma_bar_p)
     return 1.0 - _expected_survival([(e.m, c)], 1.0,
-                                    [(link.m, snr, link.rate) for link, snr in interferers])
+                                    [(link.m, snr, link.rate) for link, snr in interferers],
+                                    pairwise=np.ndim(gamma_bar_p) > 0)
 
 
 def primary_outage(inputs: PrimaryOutageInputs) -> float:
@@ -347,7 +407,8 @@ def solve_relay_power(inputs: PrimaryOutageInputs, threshold: float, cap: float)
 # ---------------------------------------------------------------------------
 
 class _Rates:
-    """Derived rate constants of the normalized interference variables."""
+    """Derived rate constants of the normalized interference variables:
+    floats, or arrays over the rows of array SNRs."""
 
     def __init__(self, inp: SecondaryCdfInputs):
         gp, gs, gr = inp.gamma_bar_p, inp.gamma_bar_s, inp.gamma_bar_r
@@ -358,24 +419,26 @@ class _Rates:
         self.bz = None if inp.z is None else inp.z.m / (gp * inp.z.mean_gain)
         self.bv = None if inp.v is None else inp.v.m / (gp * inp.v.mean_gain)
 
-    def kernel_rate(self, b: float) -> float:
+    def kernel_rate(self, b: float):
         """Exponential decay rate of e^{-b g} chi1(g) chi2(g) in g."""
         return b + self.qx * (self.beta + 1.0) + self.qw
 
 
 def _chi1(inp: SecondaryCdfInputs, theta):
-    """E_{Z,Y}[Pr{X > (Z + Y + beta + 1) theta / gr}], for a scalar
-    ``theta`` or elementwise over an array."""
+    """E_{Z,Y}[Pr{X > (Z + Y + beta + 1) theta / gr}], at a scalar
+    ``theta`` per row of ``inp`` or, for a row, elementwise over an array."""
     r = _Rates(inp)
     return _expected_survival([(inp.x.m, r.qx * theta)], r.beta + 1.0,
-                              [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)])
+                              [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)],
+                              pairwise=np.ndim(theta) > 0)
 
 
 def _chi2(inp: SecondaryCdfInputs, theta):
-    """E_Z[Pr{W > (Z + 1) theta / gr}], for a scalar ``theta`` or
-    elementwise over an array."""
+    """E_Z[Pr{W > (Z + 1) theta / gr}], at a scalar ``theta`` per row of
+    ``inp`` or, for a row, elementwise over an array."""
     r = _Rates(inp)
-    return _expected_survival([(inp.w.m, r.qw * theta)], 1.0, [(inp.z.m, 1.0, r.bz)])
+    return _expected_survival([(inp.w.m, r.qw * theta)], 1.0, [(inp.z.m, 1.0, r.bz)],
+                              pairwise=np.ndim(theta) > 0)
 
 
 def cdf_scenario_a(inputs: SecondaryCdfInputs, theta: float) -> float:
@@ -389,11 +452,21 @@ def cdf_scenario_a(inputs: SecondaryCdfInputs, theta: float) -> float:
                               "cdf_scenario_a")
 
 
-def _survival_side(inp: SecondaryCdfInputs, theta: float) -> float:
+def _side_weights(cx: float, bv: float, s: float, mx: int, mv: int) -> tuple[list, list]:
+    """The weights q_n and W_n of ``_survival_side`` for one row, in float
+    arithmetic (numpy's vectorized exp and pow may differ from it in the
+    last bit)."""
+    q = list(accumulate(exp(i * log(cx) - cx - lgamma(i + 1)) for i in range(mx)))[::-1]
+    a = [comb(mv + j - 1, j) * (bv / s) ** mv * (cx / s) ** j * q[j] for j in range(mx)]
+    tails = list(accumulate(reversed(a)))[::-1]
+    return q, [tails[max(0, n - mv + 1)] for n in range(mv + mx - 1)]
+
+
+def _survival_side(inp: SecondaryCdfInputs, theta: float):
     """E[Q(mx, cx (max(L, V) + 1))] = Pr{X > max(Z + Y + beta + 1, V + 1)
     theta / gr} with L = beta + Z + Y and cx = qx theta, split on V <= L:
     chi1 - E[Q(mx, cx (L+1)) Q(mv, bv L)] + E[Q(mx, cx (V+1)); V > L], as
-    Pr{V > L | L} = Q(mv, bv L).
+    Pr{V > L | L} = Q(mv, bv L); per row of ``inp``.
 
     Both expectations are engine calls over L.  With q_n = Q(mx-n, cx),
     Q(mx, cx (L+1)) = e^{-cx L} sum_{n<mx} q_n (cx L)^n / n!, a factor at
@@ -406,14 +479,32 @@ def _survival_side(inp: SecondaryCdfInputs, theta: float) -> float:
     r = _Rates(inp)
     cx, mx, mv = r.qx * theta, inp.x.m, inp.v.m
     s = cx + r.bv
+    rows = zip(*(np.ravel(v).tolist() for v in np.broadcast_arrays(cx, r.bv, s)))
+    q, upper = (np.reshape(w, (*np.shape(s), -1))
+                for w in zip(*(_side_weights(*row, mx, mv) for row in rows)))
     gains = [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)]
-    q = list(accumulate(exp(i * log(cx) - cx - lgamma(i + 1)) for i in range(mx)))[::-1]
-    a = [comb(mv + j - 1, j) * (r.bv / s) ** mv * (cx / s) ** j * q[j] for j in range(mx)]
-    tails = list(accumulate(reversed(a)))[::-1]
-    upper = [tails[max(0, n - mv + 1)] for n in range(mv + mx - 1)]
     return (_chi1(inp, theta)
             - _expected_survival([(q, cx), (mv, r.bv)], r.beta, gains)
             + _expected_survival([(upper, s)], r.beta, gains))
+
+
+def _probabilities(p: np.ndarray, where: str) -> tuple[np.ndarray, list]:
+    """``_clamp_probability`` of each element of ``p``, as ``_per_row``."""
+    return _per_row(lambda x: _clamp_probability(x, where), p.tolist())
+
+
+def cdf_scenario_a_e2e_lattice(inputs: SecondaryCdfInputs, theta: float) -> tuple:
+    """``cdf_scenario_a_e2e`` for every row of the 1-D SNR arrays of
+    ``inputs``: the values (NaN where the row failed) and per row None or
+    its NumericalInstability.  A row's value does not depend on the
+    others."""
+    if theta < 0.0:
+        raise ValueError("theta must be nonnegative")
+    if theta == 0.0:
+        return np.zeros(np.size(inputs.gamma_bar_p)), [None] * np.size(inputs.gamma_bar_p)
+    side1 = _survival_side(inputs, theta)
+    side2 = _survival_side(inputs.swapped(), theta)
+    return _probabilities(1.0 - side1 * side2, "cdf_scenario_a_e2e")
 
 
 def cdf_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float) -> float:
@@ -425,15 +516,10 @@ def cdf_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float) -> float:
     the result is neither exact nor a bound on the end-to-end cdf (on
     example.cfg the success probability it implies is 60-3,000x below
     bounded-SINR Monte Carlo).  The S2-side factor is the S1-side
-    evaluator under the x <-> w, z <-> v swap.
+    evaluator under the x <-> w, z <-> v swap.  One row of
+    ``cdf_scenario_a_e2e_lattice``, whose error it raises.
     """
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return 0.0
-    side1 = _survival_side(inputs, theta)
-    side2 = _survival_side(inputs.swapped(), theta)
-    return _clamp_probability(1.0 - side1 * side2, "cdf_scenario_a_e2e")
+    return _raised(cdf_scenario_a_e2e_lattice(_one_row(inputs), theta))
 
 
 # ---------------------------------------------------------------------------
@@ -441,30 +527,43 @@ def cdf_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _relay_pair_survival(inp: SecondaryCdfInputs, theta):
-    """Survival at ``theta`` (a scalar, or elementwise over an array) of
-    the per-relay pair SINR gr * min(X, W) / (Y + beta + 1) (source nodes
-    noise-limited)."""
+    """Survival at ``theta`` (a scalar per row of ``inp`` or, for a row,
+    elementwise over an array) of the per-relay pair SINR
+    gr * min(X, W) / (Y + beta + 1) (source nodes noise-limited)."""
     r = _Rates(inp)
     return _expected_survival([(inp.x.m, r.qx * theta), (inp.w.m, r.qw * theta)],
-                              r.beta + 1.0, [(inp.y.m, 1.0, r.by)])
+                              r.beta + 1.0, [(inp.y.m, 1.0, r.by)],
+                              pairwise=np.ndim(theta) > 0)
+
+
+def cdf_scenario_b_lattice(inputs: list[SecondaryCdfInputs], K: int, theta: float) -> tuple:
+    """``cdf_scenario_b`` for every row of the 1-D SNR arrays of the
+    per-relay ``inputs``: the values (NaN where the row failed) and per row
+    None or the first NumericalInstability it met.  A row's value does not
+    depend on the others."""
+    if K < 1 or len(inputs) != K:
+        raise ValueError(f"need one input set per relay, got {len(inputs)} for K={K}")
+    if theta < 0.0:
+        raise ValueError("theta must be nonnegative")
+    n = np.size(inputs[0].gamma_bar_p)
+    if theta == 0.0:
+        return np.zeros(n), [None] * n
+    prod, errors = 1.0, [None] * n
+    for inp in inputs:
+        term, failed = _probabilities(1.0 - _relay_pair_survival(inp, theta),
+                                      "cdf_scenario_b per-relay term")
+        prod, errors = prod * term, [e or f for e, f in zip(errors, failed)]
+    value, failed = _probabilities(prod, "cdf_scenario_b")
+    return value, [e or f for e, f in zip(errors, failed)]
 
 
 def cdf_scenario_b(inputs: list[SecondaryCdfInputs], K: int, theta: float) -> float:
     """cdf at ``theta`` of the best-relay end-to-end SINR in Scenario (b):
     the relays are independent, so the max-order statistic is the product
     of the per-relay pair cdfs (only the x, w, y links of each input are
-    used; source nodes carry no direct primary interference)."""
-    if K < 1 or len(inputs) != K:
-        raise ValueError(f"need one input set per relay, got {len(inputs)} for K={K}")
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return 0.0
-    prod = 1.0
-    for inp in inputs:
-        prod *= _clamp_probability(1.0 - _relay_pair_survival(inp, theta),
-                                   "cdf_scenario_b per-relay term")
-    return _clamp_probability(prod, "cdf_scenario_b")
+    used; source nodes carry no direct primary interference).  One row of
+    ``cdf_scenario_b_lattice``, whose error it raises."""
+    return _raised(cdf_scenario_b_lattice([_one_row(inp) for inp in inputs], K, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +582,38 @@ class AsepResult:
     cancellation_ratio: float
 
 
+def asep_kernel_scenario_a_lattice(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> tuple:
+    """``asep_kernel_scenario_a`` for every row of the 1-D SNR arrays of
+    ``inputs``: the values (NaN where the row failed) and per row None or
+    its NumericalInstability.  The rule's temporaries are rows x 201 nodes
+    x the terms of chi1 or chi2, so the rows go through in blocks whose
+    temporaries hold at most ``_KERNEL_FLOATS``; a row's value does not
+    depend on its block."""
+    terms = max(len(_term_table((inputs.x.m,), (inputs.y.m, inputs.z.m))[1]),
+                len(_term_table((inputs.w.m,), (inputs.z.m,))[1]))
+    rows = max(1, _KERNEL_FLOATS // (_KERNEL_OFFSETS.size * terms))
+    kernels = []
+    for start in range(0, np.size(inputs.gamma_bar_p), rows):
+        block = replace(inputs, **{name: getattr(inputs, name)[start:start + rows, None]
+                                   for name in _POWERS})
+        r = _Rates(block)
+        # math.log row by row: numpy's vectorized log may differ from it
+        # in the last bit, and so move every node of the row
+        peak = [log(0.5 / mu) for mu in r.kernel_rate(mod.b)[:, 0].tolist()]
+        g = np.exp(np.reshape(peak, (-1, 1)) + _KERNEL_OFFSETS)
+        f = np.exp(-mod.b * g) * np.sqrt(g) * _chi1(block, g) * _chi2(block, g)
+        kernels += (_KERNEL_WEIGHTS * f).sum(axis=-1).tolist()
+    return _per_row(lambda kernel: _asep_value(kernel, mod, "asep_kernel_scenario_a"), kernels)
+
+
 def asep_kernel_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> float:
     """ASEP of source 1 in Scenario (a), the value the sweep reports: the
     kernel average a/2 - a*sqrt(b)/(2 sqrt(pi)) int_0^inf e^{-b g} g^{-1/2} chi1 chi2 dg
     of the direction cdf 1 - chi1 chi2, by a fixed 201-node double-exponential
     rule in x = ln g centred on the peak g = 1/(2 mu) of g^{1/2} e^{-mu g},
-    where mu is the integrand's decay rate."""
-    r = _Rates(inputs)
-    g = np.exp(log(0.5 / r.kernel_rate(mod.b)) + _KERNEL_OFFSETS)
-    f = np.exp(-mod.b * g) * np.sqrt(g) * _chi1(inputs, g) * _chi2(inputs, g)
-    return _asep_value(float((_KERNEL_WEIGHTS * f).sum()), mod, "asep_kernel_scenario_a")
+    where mu is the integrand's decay rate.  One row of
+    ``asep_kernel_scenario_a_lattice``, whose error it raises."""
+    return _raised(asep_kernel_scenario_a_lattice(_one_row(inputs), mod))
 
 
 def _asep_terms(inputs: SecondaryCdfInputs, r: _Rates, alphas: np.ndarray,

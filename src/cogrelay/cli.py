@@ -13,7 +13,9 @@ rule (``_filled_cells``) sets the cells every row fills: ``analytic_*``
 unless ``--mc-only``, ``mc_*`` unless ``--analytic-only``, ``*_asep`` only
 in Scenario (a).  A silent row, with no secondary power (a zero primary
 outage threshold, or ``infeasible``), supplies outage 1, SEP a/2 and CI 0
-to those cells.  The powers of the whole lattice are solved first.  A row
+to those cells.  The powers of the whole lattice are solved first, then
+each closed-form column in one lattice call per relay count over the rows
+that transmit; a row's value equals its one-row call bit for bit.  A row
 whose power solve or closed form raised leaves those cells (and a failed
 power) blank and says why in ``error``; the run continues.
 """
@@ -31,8 +33,9 @@ from .errors import CogrelayError, ConfigError, Infeasible
 from .model import (FadingLink, ModulationSpec, NetworkScenario, PowerProfile,
                     Scenario, db_to_linear, mpsk_constants, primary_threshold)
 from .analytic import (PrimaryOutageInputs, SecondaryCdfInputs, asep_kernel_scenario_a,
-                       _expected_survival, asep_scenario_a, cdf_scenario_a, cdf_scenario_a_e2e,
-                       cdf_scenario_b, primary_outage, relay_phase_outage,
+                       asep_kernel_scenario_a_lattice, _expected_survival, asep_scenario_a,
+                       cdf_scenario_a, cdf_scenario_a_e2e_lattice, cdf_scenario_b,
+                       cdf_scenario_b_lattice, primary_outage, relay_phase_outage,
                        solve_power_lattice, solve_secondary_source_power)
 from .config import RunConfig, SweepPlan, load_config
 from . import montecarlo, specfun
@@ -128,13 +131,14 @@ def _filled_cells(scenario: Scenario, analytic_only: bool, mc_only: bool) -> set
             and not (scenario is Scenario.B and "_asep" in name)}
 
 
-def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float, gp: float,
-                 cap_s: float, cap_r: float, solved: list[float], error: str, mod: ModulationSpec,
-                 filled: set[str]) -> Iterator[tuple[dict, PowerProfile | None]]:
+def _sweep_point(plan: SweepPlan, x_db: float, threshold: float, gp: float, cap_s: float,
+                 cap_r: float, solved: list[float], error: str,
+                 mod: ModulationSpec) -> Iterator[tuple[dict, PowerProfile | None]]:
     """The cells of one (grid point, threshold), one dict per relay count,
-    with their closed-form values and their powers if Monte Carlo is due.
+    and the powers of a row that transmits (None for the others).
     ``solved`` and ``error`` are the point's entry of ``_solve_powers``:
-    relay k's power is the same for every K >= k."""
+    relay k's power is the same for every K >= k.  Silent rows and rows
+    whose power failed to solve get all their cells here."""
     gs, *relay_powers = solved or [0.0]
     for K in plan.relay_counts:
         gr = min(cap_r, *relay_powers[:K]) if len(relay_powers) >= K else 0.0
@@ -152,30 +156,49 @@ def _sweep_point(cfg: RunConfig, plan: SweepPlan, x_db: float, threshold: float,
                          mc_oc_ci=0.0, analytic_asep=sep, mc_asep=sep, mc_asep_ci=0.0,
                          error="infeasible" if threshold > 0.0 else "")
         else:
-            scenario = cfg.network_scenario(K)
-            theta = scenario.secondary_threshold
-            inputs = _secondary_inputs(scenario, gp, gs, gr)
-            try:
-                if "analytic_oc" in filled:
-                    cells["analytic_oc"] = (cdf_scenario_a_e2e(inputs[0], theta)
-                                            if scenario.scenario is Scenario.A
-                                            else cdf_scenario_b(inputs, K, theta))
-                if "analytic_asep" in filled:
-                    cells["analytic_asep"] = asep_kernel_scenario_a(inputs[0], mod)
-                if "mc_oc" in filled:
-                    powers = PowerProfile(gamma_bar_p=gp, gamma_bar_s=gs, gamma_bar_r=gr,
-                                          max_gamma_bar_s=cap_s, max_gamma_bar_r=cap_r)
-            except CogrelayError as exc:
-                cells["error"] = _error_cell(exc)
+            powers = PowerProfile(gamma_bar_p=gp, gamma_bar_s=gs, gamma_bar_r=gr,
+                                  max_gamma_bar_s=cap_s, max_gamma_bar_r=cap_r)
         yield cells, powers
+
+
+def _closed_forms(cfg: RunConfig, K: int, rows: list[dict], mod: ModulationSpec,
+                  filled: set[str]) -> None:
+    """Fill the ``analytic_*`` cells of the transmitting ``rows`` of relay
+    count ``K`` with one lattice call per column.  A row whose outage
+    raised gets that error and no ASEP; a row whose ASEP raised keeps its
+    outage and gets that error."""
+    scenario = cfg.network_scenario(K)
+    powers = [np.array([cells[name] for cells in rows])
+              for name in ("gamma_bar_p", "gamma_bar_s", "gamma_bar_r")]
+    if "analytic_oc" in filled:
+        inputs, theta = _secondary_inputs(scenario, *powers), scenario.secondary_threshold
+        _fill(rows, "analytic_oc", *(cdf_scenario_a_e2e_lattice(inputs[0], theta)
+                                     if scenario.scenario is Scenario.A
+                                     else cdf_scenario_b_lattice(inputs, K, theta)))
+    ok = [i for i, cells in enumerate(rows) if "error" not in cells]
+    if "analytic_asep" in filled and ok:
+        inputs = _secondary_inputs(scenario, *(p[ok] for p in powers))
+        _fill([rows[i] for i in ok], "analytic_asep",
+              *asep_kernel_scenario_a_lattice(inputs[0], mod))
+
+
+def _fill(rows: list[dict], name: str, values: np.ndarray, failures: list) -> None:
+    """Write a lattice call's values into ``rows``, or the error of a row
+    that failed."""
+    for cells, value, exc in zip(rows, values.tolist(), failures):
+        if exc is None:
+            cells[name] = value
+        else:
+            cells["error"] = _error_cell(exc)
 
 
 def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
               mc_only: bool = False, mod: ModulationSpec | None = None) -> list[SweepRow]:
     """Evaluate the full (grid point x threshold x relay count) lattice in
     deterministic order.  The powers of the whole lattice are solved first
-    (``_solve_powers``), the closed forms are then evaluated point by
-    point, and the Monte Carlo cells of all rows are estimated together,
+    (``_solve_powers``), then each closed-form column is evaluated over the
+    transmitting rows of each relay count in one lattice call, and the
+    Monte Carlo cells of the rows without an error are estimated together,
     on one gain draw per trial slice for the largest relay count among
     them.  Each row keeps only the cells ``_filled_cells`` names."""
     mod = mod or mpsk_constants(4)
@@ -189,8 +212,13 @@ def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
     _, threshold, gp, cap_s, cap_r = np.array(lattice, dtype=float).reshape(-1, 5).T
     solved, errors = _solve_powers(scenario, gp, threshold, cap_s, cap_r)
     points = [point for key, powers, error in zip(lattice, solved, errors)
-              for point in _sweep_point(cfg, plan, *key, powers, error, mod, filled)]
-    pending = [(cells, powers) for cells, powers in points if powers is not None]
+              for point in _sweep_point(plan, *key, powers, error, mod)]
+    for K in plan.relay_counts:
+        rows = [cells for cells, powers in points if powers is not None and cells["K"] == K]
+        if rows:
+            _closed_forms(cfg, K, rows, mod, filled)
+    pending = [(cells, powers) for cells, powers in points
+               if powers is not None and "error" not in cells and "mc_oc" in filled]
     ests = montecarlo.estimate_rows(
         scenario, [(cells["K"], powers) for cells, powers in pending],
         theta=scenario.secondary_threshold,

@@ -302,6 +302,61 @@ def test_lattice_powers_are_batch_invariant(e, interferers, points, data):
         assert np.array_equal(p, powers[i], equal_nan=True) and repr(err) == repr(errors[i])
 
 
+_POWERS_DB = st.tuples(st.floats(0.0, 40.0), st.floats(-10.0, 30.0), st.floats(-10.0, 30.0))
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=30, deadline=None)
+@given(links=st.tuples(*[_LINK] * 5), relays=st.lists(st.tuples(*[_LINK] * 3), min_size=1,
+                                                      max_size=3),
+       rows=st.lists(_POWERS_DB, min_size=1, max_size=10), theta=st.floats(0.05, 20.0),
+       data=st.data())
+def test_closed_forms_are_batch_invariant(links, relays, rows, theta, data):
+    # every row of a lattice call of the three closed forms the sweep
+    # reports has the value (bit for bit) and the error of its one-row
+    # call, of the scalar call, and of its place in a shuffled subset
+    gp, gs, gr = (10.0 ** (np.array(c) / 10.0) for c in zip(*rows))
+    x, w, y, z, v = links
+    mod = mpsk_constants(4)
+
+    def scenario_a(idx):
+        return SecondaryCdfInputs(x=x, w=w, y=y, z=z, v=v, gamma_bar_p=gp[idx],
+                                  gamma_bar_s=gs[idx], gamma_bar_r=gr[idx])
+
+    def scenario_b(idx):
+        return [SecondaryCdfInputs(x=rx, w=rw, y=ry, z=None, v=None, gamma_bar_p=gp[idx],
+                                   gamma_bar_s=gs[idx], gamma_bar_r=gr[idx])
+                for rx, rw, ry in relays]
+
+    forms = [
+        (lambda idx: analytic.cdf_scenario_a_e2e_lattice(scenario_a(idx), theta),
+         lambda i: cdf_scenario_a_e2e(scenario_a(i), theta)),
+        (lambda idx: analytic.cdf_scenario_b_lattice(scenario_b(idx), len(relays), theta),
+         lambda i: cdf_scenario_b(scenario_b(i), len(relays), theta)),
+        (lambda idx: analytic.asep_kernel_scenario_a_lattice(scenario_a(idx), mod),
+         lambda i: asep_kernel_scenario_a(scenario_a(i), mod)),
+    ]
+    order = data.draw(st.permutations(range(len(rows))))
+    subset = np.array(order[:data.draw(st.integers(1, len(rows)))])
+    for lattice, scalar in forms:
+        values, errors = lattice(np.arange(len(rows)))
+        assert values.shape == (len(rows),) and len(errors) == len(rows)
+        assert all(e is None or isinstance(e, NumericalInstability) for e in errors)
+        part, part_errors = lattice(subset)
+        assert _hex(part) == _hex(values[subset])
+        assert [repr(e) for e in part_errors] == [repr(errors[i]) for i in subset]
+        for i in range(len(rows)):
+            (one,), (one_error,) = lattice(np.array([i]))
+            assert _hex([one]) == _hex([values[i]]) and repr(one_error) == repr(errors[i])
+            try:
+                assert _hex([scalar(i)]) == _hex([values[i]]) and errors[i] is None
+            except NumericalInstability as exc:
+                assert repr(exc) == repr(errors[i])
+
+
 @settings(max_examples=60, deadline=None)
 @given(orders=st.lists(st.integers(1, 6), min_size=1, max_size=2),
        shapes=st.lists(st.integers(1, 6), min_size=1, max_size=2),
@@ -809,3 +864,29 @@ def test_relay_pair_survival_over_an_array_equals_scalar_calls(prim, sec):
     assert grid.shape == thetas.shape
     assert grid == pytest.approx([analytic._relay_pair_survival(sec, t) for t in thetas.tolist()],
                                  rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("pairwise", [False, True], ids=["fsum", "pairwise"])
+@pytest.mark.parametrize("prim, sec", list(_engine_cases()))
+def test_expected_survival_broadcasts_kappa_rates_and_weights(prim, sec, pairwise):
+    # the side survival's weighted call with every input an array over
+    # lattice rows (kappa, rates, scales and weights): each element equals
+    # the call on that row's floats, bit for bit, under either reduction
+    rng = np.random.default_rng(21)
+    powers = [getattr(sec, name) * 10.0 ** rng.uniform(-1.0, 1.0, 7) for name in analytic._POWERS]
+    weights = np.where(rng.random((7, sec.x.m)) < 0.2, 0.0,
+                       10.0 ** rng.uniform(-3.0, 0.0, (7, sec.x.m)))
+
+    def call(inp, w):
+        r = analytic._Rates(inp)
+        return analytic._expected_survival(
+            [(w, r.qx * 1.3), (sec.v.m, r.bv)], r.beta,
+            [(sec.y.m, 1.0, r.by), (sec.z.m, 1.0, r.bz)], pairwise=pairwise)
+
+    whole = call(_sec(**dict(zip(analytic._POWERS, powers)), x=sec.x, w=sec.w, y=sec.y,
+                      z=sec.z, v=sec.v), weights)
+    assert whole.shape == (7,)
+    for i in range(7):
+        row = _sec(**{name: float(p[i]) for name, p in zip(analytic._POWERS, powers)},
+                   x=sec.x, w=sec.w, y=sec.y, z=sec.z, v=sec.v)
+        assert _hex([call(row, tuple(weights[i]))]) == _hex([whole[i]])

@@ -193,8 +193,8 @@ class TestRunSweep:
         broken = sc.pt_px.m * primary_threshold(sc) / (sc.pt_px.mean_gain * db_to_linear(12.0))
         survival = analytic._expected_survival
 
-        def nan_at_12_db(factors, kappa, gains):
-            value = survival(factors, kappa, gains)
+        def nan_at_12_db(factors, kappa, gains, **kwargs):
+            value = survival(factors, kappa, gains, **kwargs)
             if isinstance(gains[0][1], np.ndarray):
                 value[(factors[0][1] == broken) & (gains[0][1] > 0.0)] = np.nan
             return value
@@ -214,6 +214,73 @@ class TestRunSweep:
             assert (r.x_db, r.threshold, r.K, r.gamma_bar_p) == \
                 (c.x_db, c.threshold, c.K, c.gamma_bar_p)
             assert r.as_csv().startswith(",".join(c.as_csv().split(",")[:4]) + "," * 9)
+
+    @pytest.mark.parametrize("column, error", [
+        ("analytic_oc", "NumericalInstability: cdf_scenario_a_e2e: probability nan outside "
+                        "[0;1] beyond tolerance"),
+        ("analytic_asep", "NumericalInstability: asep_kernel_scenario_a: value nan outside "
+                          "[0; a/2]")])
+    def test_failed_closed_form_leaves_only_its_row_blank(self, column, error, monkeypatch):
+        # the engine returns NaN for one row of one column's lattice call:
+        # that row's closed form raises, its error cell says so, an outage
+        # failure also blanks the ASEP, either failure skips Monte Carlo,
+        # and every other CSV line is the line of a clean run
+        cfg = load_config(str(ROOT / "example.cfg"))
+        plan = replace(cfg.sweeps["sweep"], trials=4000)
+        clean = cli.run_sweep(plan, cfg)
+        target = [i for i, r in enumerate(clean) if r.gamma_bar_s > 0.0][5]
+        r = clean[target]
+        by = analytic._Rates(cli._secondary_inputs(cfg.network_scenario(r.K), r.gamma_bar_p,
+                                                   r.gamma_bar_s, r.gamma_bar_r)[0]).by
+        survival = analytic._expected_survival
+
+        def nan_at_target(factors, kappa, gains, pairwise=False):
+            value = survival(factors, kappa, gains, pairwise=pairwise)
+            # the outage sums each row with fsum, the ASEP's kernel rule pairwise
+            if pairwise == (column == "analytic_asep") and np.ndim(gains[0][2]) > 0:
+                value = np.where(np.broadcast_to(gains[0][2] == by, value.shape), np.nan, value)
+            return value
+
+        monkeypatch.setattr(analytic, "_expected_survival", nan_at_target)
+        rows = cli.run_sweep(plan, cfg)
+        assert len(rows) == len(clean)
+        for i, (row, c) in enumerate(zip(rows, clean)):
+            if i != target:
+                assert row.as_csv() == c.as_csv()
+        row, c = rows[target], clean[target]
+        assert row.error == error
+        assert row.analytic_oc == (c.analytic_oc if column == "analytic_asep" else None)
+        assert (row.analytic_asep, row.mc_oc, row.mc_oc_ci, row.mc_asep, row.mc_asep_ci) == \
+            (None,) * 5
+        assert (row.x_db, row.threshold, row.K, row.gamma_bar_p, row.gamma_bar_s,
+                row.gamma_bar_r) == (c.x_db, c.threshold, c.K, c.gamma_bar_p, c.gamma_bar_s,
+                                     c.gamma_bar_r)
+
+    @pytest.mark.parametrize("text, counts", [
+        ((ROOT / "example.cfg").read_text(), {"cdf_scenario_a_e2e_lattice": 1,
+                                              "asep_kernel_scenario_a_lattice": 1}),
+        (SMALL_B.replace("relay_counts = 1, 2, 3", "relay_counts = 1, 2")
+                .replace("start_db = 0.0", "start_db = 10.0")
+                .replace("stop_db = 10.0", "stop_db = 20.0"),
+         {"cdf_scenario_b_lattice": 2})], ids=["example", "scenario_b"])
+    def test_closed_forms_called_once_per_relay_count(self, text, counts, monkeypatch):
+        # each column is one lattice call per relay count over that count's
+        # transmitting rows, never a call per row
+        calls, entries = collections.Counter(), collections.Counter()
+        for name in ("cdf_scenario_a_e2e_lattice", "cdf_scenario_b_lattice",
+                     "asep_kernel_scenario_a_lattice"):
+            def counted(inputs, *args, name=name, fn=getattr(cli, name)):
+                calls[name] += 1
+                entries[name] += len((inputs if isinstance(inputs, list) else [inputs])[0]
+                                     .gamma_bar_p)
+                return fn(inputs, *args)
+            monkeypatch.setattr(cli, name, counted)
+        cfg = parse_config(text)
+        rows = cli.run_sweep(replace(cfg.sweeps["sweep"], trials=2000), cfg)
+        assert calls == counts
+        sending = collections.Counter(r.K for r in rows if r.gamma_bar_s > 0.0)
+        assert min(sending[K] for K in cfg.sweeps["sweep"].relay_counts) >= 2
+        assert entries == {name: sending.total() for name in counts}
 
     @pytest.mark.parametrize("text", [
         SMALL.replace("outage_thresholds = 0.0, 0.1", "outage_thresholds = 0.1, 0.3"),
