@@ -20,11 +20,12 @@ quadrature oracles in :mod:`cogrelay.oracle` and the Monte Carlo engine
 arbitrate.
 
 Terms are put together in the log domain, so integer severities up to ~8
-and SNRs up to ~40 dB stay well inside double range.  A closed form at
-one theta sums each element's terms with ``math.fsum``, whether the
-element is one point or one row of a sweep; over an array of thetas (the
-nodes of the double-exponential kernel rule) or of powers (the power
-solve) the sums are numpy's pairwise sums.
+and SNRs up to ~40 dB stay well inside double range.  The engine's terms
+are all positive and each element's are added by numpy's pairwise sum,
+whatever the shape of the call: a point, the rows of a sweep, the nodes
+of the kernel rule or the powers of the solve.  Its error, O(log n)
+roundings, is below that of the terms' own exp and log; only the ASEP
+closed form, whose terms cancel, keeps a compensated sum.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate, product
-from math import comb, exp, fsum, lgamma, log
+from itertools import product
+from math import comb, fsum, lgamma, log
 
 import numpy as np
 
@@ -207,7 +208,7 @@ def _term_table(orders: tuple[int, ...], shapes: tuple[int, ...]) -> tuple[np.nd
     return _frozen(rows, const)
 
 
-def _expected_survival(factors, kappa, gains, pairwise=False):
+def _expected_survival(factors, kappa, gains):
     """E[prod_f Q_f(c_f L)] for L = kappa + sum_i a_i G_i, where each Q_f is
     the integer-shape Gamma survival Q(m, x) = e^{-x} sum_{n<m} x^n/n! or a
     weighted series e^{-x} sum_{n<N} w_n x^n/n! (w_n >= 0), and the
@@ -227,10 +228,16 @@ def _expected_survival(factors, kappa, gains, pairwise=False):
     sum_f ln w_f[n_f]: in the log domain a product with the tabled
     exponents, where log 0 is floored so that 0**0 = 1 (a_i = 0 keeps its
     j_i = 0 terms) and a zero weight drops its terms; each element has its
-    own vector-matrix product, so its value does not depend on the others.
-    Each element's terms are summed with ``fsum``, or with numpy's pairwise
-    sum if ``pairwise``.
+    own vector-matrix product and its own pairwise sum of terms, so its
+    value does not depend on the others.  A 0-d result is a float.
     """
+    total = _survival_terms(factors, kappa, gains).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def _survival_terms(factors, kappa, gains):
+    """The positive terms that ``_expected_survival`` adds, along a last
+    axis after the broadcast shape of its inputs."""
     orders = tuple(m if isinstance(m, int) else np.shape(m)[-1] for m, _ in factors)
     cs = [c for _, c in factors]
     s = sum(cs)
@@ -238,8 +245,7 @@ def _expected_survival(factors, kappa, gains, pairwise=False):
     for f, (w, _) in enumerate(factors):
         if not isinstance(w, int):
             w = np.asarray(w, dtype=float)
-            log_w = np.reshape([log(v) if v > 0.0 else _LOG_ZERO for v in w.ravel().tolist()],
-                               w.shape)
+            log_w = np.log(w, out=np.full(w.shape, _LOG_ZERO), where=w > 0.0)
             const = const + log_w[..., expo[:, f].astype(np.intp)]
     cols = [*(c * kappa for c in cs), *(a / (kappa * (b + s * a)) for _, a, b in gains),
             *(b / (b + s * a) for _, a, b in gains)]
@@ -252,10 +258,7 @@ def _expected_survival(factors, kappa, gains, pairwise=False):
     terms = np.matmul(logs[..., None, :], expo.T)[..., 0, :]
     terms += const
     np.exp(terms, out=terms)
-    if pairwise:
-        return terms.sum(axis=-1)
-    sums = [fsum(row.tolist()) for row in terms.reshape(-1, terms.shape[-1])]
-    return sums[0] if terms.ndim == 1 else np.reshape(sums, terms.shape[:-1])
+    return terms
 
 
 def _clamp_probability(p: float, where: str) -> float:
@@ -280,12 +283,10 @@ def _outage(e: FadingLink, gamma_bar_p, threshold: float, interferers):
     """1 - E[Q(m_e, c (1 + sum_i snr_i G_i))], c = m_e threshold /
     (Omega_e gamma_bar_p): the outage of primary link ``e`` at SINR
     ``threshold`` against the ``interferers``, pairs (link, SNR); the SNRs
-    and gamma_bar_p are scalars or arrays (summed pairwise), as in
-    ``_expected_survival``."""
+    and gamma_bar_p are scalars or arrays, as in ``_expected_survival``."""
     c = e.m * threshold / (e.mean_gain * gamma_bar_p)
     return 1.0 - _expected_survival([(e.m, c)], 1.0,
-                                    [(link.m, snr, link.rate) for link, snr in interferers],
-                                    pairwise=np.ndim(gamma_bar_p) > 0)
+                                    [(link.m, snr, link.rate) for link, snr in interferers])
 
 
 def primary_outage(inputs: PrimaryOutageInputs) -> float:
@@ -377,21 +378,15 @@ def solve_power_lattice(e: FadingLink, interferers: tuple[FadingLink, ...], gamm
     return _solve(outage, outage_threshold, cap, what)
 
 
-def _solve_one(inputs: PrimaryOutageInputs, interferers, threshold, cap, what) -> float:
-    (power,), (error,) = solve_power_lattice(inputs.e, interferers, [inputs.gamma_bar_p],
-                                             inputs.threshold, [threshold], [cap], what)
-    if error is not None:
-        raise error
-    return float(power)
-
-
 def solve_secondary_source_power(inputs: PrimaryOutageInputs, threshold: float,
                                  cap: float) -> float:
     """Shared source SNR (gamma_bar_S1 = gamma_bar_S2) whose MA-phase primary
     outage meets ``threshold``: the largest such power to 1e-12 relative
     (absolute below 1), or ``cap`` when the constraint holds there.  One
     point of ``solve_power_lattice``, whose error it raises."""
-    return _solve_one(inputs, (inputs.f, inputs.g), threshold, cap, "secondary source power")
+    return _raised(solve_power_lattice(inputs.e, (inputs.f, inputs.g), [inputs.gamma_bar_p],
+                                       inputs.threshold, [threshold], [cap],
+                                       "secondary source power"))
 
 
 def solve_relay_power(inputs: PrimaryOutageInputs, threshold: float, cap: float) -> float:
@@ -399,7 +394,8 @@ def solve_relay_power(inputs: PrimaryOutageInputs, threshold: float, cap: float)
     largest such power to 1e-12 relative (absolute below 1), or ``cap``
     when the constraint holds there.  One point of ``solve_power_lattice``,
     whose error it raises."""
-    return _solve_one(inputs, (inputs.l,), threshold, cap, "relay power")
+    return _raised(solve_power_lattice(inputs.e, (inputs.l,), [inputs.gamma_bar_p],
+                                       inputs.threshold, [threshold], [cap], "relay power"))
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +425,14 @@ def _chi1(inp: SecondaryCdfInputs, theta):
     ``theta`` per row of ``inp`` or, for a row, elementwise over an array."""
     r = _Rates(inp)
     return _expected_survival([(inp.x.m, r.qx * theta)], r.beta + 1.0,
-                              [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)],
-                              pairwise=np.ndim(theta) > 0)
+                              [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)])
 
 
 def _chi2(inp: SecondaryCdfInputs, theta):
     """E_Z[Pr{W > (Z + 1) theta / gr}], at a scalar ``theta`` per row of
     ``inp`` or, for a row, elementwise over an array."""
     r = _Rates(inp)
-    return _expected_survival([(inp.w.m, r.qw * theta)], 1.0, [(inp.z.m, 1.0, r.bz)],
-                              pairwise=np.ndim(theta) > 0)
+    return _expected_survival([(inp.w.m, r.qw * theta)], 1.0, [(inp.z.m, 1.0, r.bz)])
 
 
 def cdf_scenario_a(inputs: SecondaryCdfInputs, theta: float) -> float:
@@ -452,14 +446,17 @@ def cdf_scenario_a(inputs: SecondaryCdfInputs, theta: float) -> float:
                               "cdf_scenario_a")
 
 
-def _side_weights(cx: float, bv: float, s: float, mx: int, mv: int) -> tuple[list, list]:
-    """The weights q_n and W_n of ``_survival_side`` for one row, in float
-    arithmetic (numpy's vectorized exp and pow may differ from it in the
-    last bit)."""
-    q = list(accumulate(exp(i * log(cx) - cx - lgamma(i + 1)) for i in range(mx)))[::-1]
-    a = [comb(mv + j - 1, j) * (bv / s) ** mv * (cx / s) ** j * q[j] for j in range(mx)]
-    tails = list(accumulate(reversed(a)))[::-1]
-    return q, [tails[max(0, n - mv + 1)] for n in range(mv + mx - 1)]
+def _side_weights(cx, bv, s, mx: int, mv: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights q_n and W_n of ``_survival_side`` along a last axis, for
+    scalars or arrays ``cx``, ``bv`` and ``s``: q_n are the reversed
+    running sums of the Poisson(cx) terms, W_n the tail sums of the A_j."""
+    cx, bv, s = (np.asarray(v, dtype=float)[..., None] for v in (cx, bv, s))
+    i = np.arange(mx)
+    q = np.cumsum(np.exp(i * np.log(cx) - cx - [lgamma(n + 1) for n in range(mx)]),
+                  axis=-1)[..., ::-1]
+    a = np.array([comb(mv + j - 1, j) for j in range(mx)]) * (bv / s) ** mv * (cx / s) ** i * q
+    tails = np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
+    return q, tails[..., np.maximum(0, np.arange(mv + mx - 1) - mv + 1)]
 
 
 def _survival_side(inp: SecondaryCdfInputs, theta: float):
@@ -479,9 +476,7 @@ def _survival_side(inp: SecondaryCdfInputs, theta: float):
     r = _Rates(inp)
     cx, mx, mv = r.qx * theta, inp.x.m, inp.v.m
     s = cx + r.bv
-    rows = zip(*(np.ravel(v).tolist() for v in np.broadcast_arrays(cx, r.bv, s)))
-    q, upper = (np.reshape(w, (*np.shape(s), -1))
-                for w in zip(*(_side_weights(*row, mx, mv) for row in rows)))
+    q, upper = _side_weights(cx, r.bv, s, mx, mv)
     gains = [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)]
     return (_chi1(inp, theta)
             - _expected_survival([(q, cx), (mv, r.bv)], r.beta, gains)
@@ -532,8 +527,7 @@ def _relay_pair_survival(inp: SecondaryCdfInputs, theta):
     gr * min(X, W) / (Y + beta + 1) (source nodes noise-limited)."""
     r = _Rates(inp)
     return _expected_survival([(inp.x.m, r.qx * theta), (inp.w.m, r.qw * theta)],
-                              r.beta + 1.0, [(inp.y.m, 1.0, r.by)],
-                              pairwise=np.ndim(theta) > 0)
+                              r.beta + 1.0, [(inp.y.m, 1.0, r.by)])
 
 
 def cdf_scenario_b_lattice(inputs: list[SecondaryCdfInputs], K: int, theta: float) -> tuple:
@@ -596,11 +590,7 @@ def asep_kernel_scenario_a_lattice(inputs: SecondaryCdfInputs, mod: ModulationSp
     for start in range(0, np.size(inputs.gamma_bar_p), rows):
         block = replace(inputs, **{name: getattr(inputs, name)[start:start + rows, None]
                                    for name in _POWERS})
-        r = _Rates(block)
-        # math.log row by row: numpy's vectorized log may differ from it
-        # in the last bit, and so move every node of the row
-        peak = [log(0.5 / mu) for mu in r.kernel_rate(mod.b)[:, 0].tolist()]
-        g = np.exp(np.reshape(peak, (-1, 1)) + _KERNEL_OFFSETS)
+        g = np.exp(np.log(0.5 / _Rates(block).kernel_rate(mod.b)) + _KERNEL_OFFSETS)
         f = np.exp(-mod.b * g) * np.sqrt(g) * _chi1(block, g) * _chi2(block, g)
         kernels += (_KERNEL_WEIGHTS * f).sum(axis=-1).tolist()
     return _per_row(lambda kernel: _asep_value(kernel, mod, "asep_kernel_scenario_a"), kernels)

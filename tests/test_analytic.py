@@ -830,7 +830,7 @@ def test_closed_forms_match_50_digit_term_sums(prim, sec):
         for got, ref in [(analytic._chi1, _mp_chi1), (analytic._chi2, _mp_chi2),
                          (analytic._relay_pair_survival, _mp_relay_pair_survival)]:
             want = np.array([float(ref(mp, sec, theta)) for theta in thetas.tolist()])
-            # a scalar theta sums with fsum, an array of thetas pairwise
+            # the calls at each theta and the one call over all of them
             assert [got(sec, theta) for theta in thetas.tolist()] == pytest.approx(
                 want, rel=1e-12, abs=0.0)
             assert got(sec, thetas) == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -866,27 +866,57 @@ def test_relay_pair_survival_over_an_array_equals_scalar_calls(prim, sec):
                                  rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("pairwise", [False, True], ids=["fsum", "pairwise"])
+@pytest.mark.parametrize("reference", ["fsum", "pairwise"])
 @pytest.mark.parametrize("prim, sec", list(_engine_cases()))
-def test_expected_survival_broadcasts_kappa_rates_and_weights(prim, sec, pairwise):
+def test_expected_survival_broadcasts_kappa_rates_and_weights(prim, sec, reference):
     # the side survival's weighted call with every input an array over
-    # lattice rows (kappa, rates, scales and weights): each element equals
-    # the call on that row's floats, bit for bit, under either reduction
+    # lattice rows (kappa, rates, scales and weights).  Against "pairwise",
+    # each element equals the call on that row's floats, bit for bit, as
+    # each element has its own pairwise sum; against "fsum", each element
+    # is within the recursive-summation bound (n - 1) eps of the correctly
+    # rounded sum of its n terms, which are all positive
     rng = np.random.default_rng(21)
     powers = [getattr(sec, name) * 10.0 ** rng.uniform(-1.0, 1.0, 7) for name in analytic._POWERS]
     weights = np.where(rng.random((7, sec.x.m)) < 0.2, 0.0,
                        10.0 ** rng.uniform(-3.0, 0.0, (7, sec.x.m)))
 
-    def call(inp, w):
+    def args(inp, w):
         r = analytic._Rates(inp)
-        return analytic._expected_survival(
-            [(w, r.qx * 1.3), (sec.v.m, r.bv)], r.beta,
-            [(sec.y.m, 1.0, r.by), (sec.z.m, 1.0, r.bz)], pairwise=pairwise)
+        return ([(w, r.qx * 1.3), (sec.v.m, r.bv)], r.beta,
+                [(sec.y.m, 1.0, r.by), (sec.z.m, 1.0, r.bz)])
 
-    whole = call(_sec(**dict(zip(analytic._POWERS, powers)), x=sec.x, w=sec.w, y=sec.y,
-                      z=sec.z, v=sec.v), weights)
+    lattice = args(_sec(**dict(zip(analytic._POWERS, powers)), x=sec.x, w=sec.w, y=sec.y,
+                        z=sec.z, v=sec.v), weights)
+    whole = analytic._expected_survival(*lattice)
     assert whole.shape == (7,)
+    if reference == "fsum":
+        terms = analytic._survival_terms(*lattice)
+        assert terms.shape[0] == 7 and (terms >= 0.0).all()
+        for i in range(7):
+            exact = math.fsum(terms[i].tolist())
+            assert abs(whole[i] - exact) <= (terms.shape[1] - 1) * 2.0 ** -53 * exact
+        return
     for i in range(7):
         row = _sec(**{name: float(p[i]) for name, p in zip(analytic._POWERS, powers)},
                    x=sec.x, w=sec.w, y=sec.y, z=sec.z, v=sec.v)
-        assert _hex([call(row, tuple(weights[i]))]) == _hex([whole[i]])
+        assert _hex([analytic._expected_survival(*args(row, tuple(weights[i])))]) == \
+            _hex([whole[i]])
+
+
+def test_scalar_closed_forms_return_floats(monkeypatch):
+    # a scalar closed form returns a Python float, never a numpy scalar, so
+    # its value and the probability its error text quotes read the same
+    # under every numpy version
+    sec_b = _sec(z=None, v=None)
+    values = [primary_outage(PRIM), relay_phase_outage(PRIM), cdf_scenario_a(SEC, 1.5),
+              cdf_scenario_a_e2e(SEC, 1.5), cdf_scenario_b([sec_b, sec_b], 2, 1.5),
+              asep_kernel_scenario_a(SEC, mpsk_constants(4)),
+              solve_secondary_source_power(PRIM, 0.3, 1e3), solve_relay_power(PRIM, 0.3, 1e3)]
+    assert [type(v) for v in values] == [float] * len(values)
+    # a NaN kappa makes every term, and so the engine's 0-d sum, NaN
+    survival = analytic._expected_survival
+    monkeypatch.setattr(analytic, "_expected_survival",
+                        lambda factors, kappa, gains: survival(factors, math.nan, gains))
+    with pytest.raises(NumericalInstability) as info:
+        cdf_scenario_a(SEC, 1.5)
+    assert str(info.value) == "cdf_scenario_a: probability nan outside [0,1] beyond tolerance"

@@ -193,8 +193,8 @@ class TestRunSweep:
         broken = sc.pt_px.m * primary_threshold(sc) / (sc.pt_px.mean_gain * db_to_linear(12.0))
         survival = analytic._expected_survival
 
-        def nan_at_12_db(factors, kappa, gains, **kwargs):
-            value = survival(factors, kappa, gains, **kwargs)
+        def nan_at_12_db(factors, kappa, gains):
+            value = survival(factors, kappa, gains)
             if isinstance(gains[0][1], np.ndarray):
                 value[(factors[0][1] == broken) & (gains[0][1] > 0.0)] = np.nan
             return value
@@ -234,10 +234,12 @@ class TestRunSweep:
                                                    r.gamma_bar_s, r.gamma_bar_r)[0]).by
         survival = analytic._expected_survival
 
-        def nan_at_target(factors, kappa, gains, pairwise=False):
-            value = survival(factors, kappa, gains, pairwise=pairwise)
-            # the outage sums each row with fsum, the ASEP's kernel rule pairwise
-            if pairwise == (column == "analytic_asep") and np.ndim(gains[0][2]) > 0:
+        def nan_at_target(factors, kappa, gains):
+            value = survival(factors, kappa, gains)
+            # the outage's calls are over rows, the ASEP kernel rule's over
+            # rows x nodes; the power solve's gain rates are scalars
+            on_nodes = np.ndim(value) == 2
+            if on_nodes == (column == "analytic_asep") and np.ndim(gains[0][2]) > 0:
                 value = np.where(np.broadcast_to(gains[0][2] == by, value.shape), np.nan, value)
             return value
 

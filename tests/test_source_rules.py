@@ -1,6 +1,7 @@
 """Source-level rules of the package that no runtime test can see."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -65,6 +66,23 @@ def test_cached_tables_are_read_only():
     arrays = analytic._term_table((3, 2), (3, 3))
     assert all(isinstance(a, np.ndarray) for a in arrays), arrays
     assert not any(a.flags.writeable for a in arrays), "_term_table returned a writable array"
+
+
+def test_closed_forms_have_one_summation_path():
+    # the term engine's terms are positive, so numpy's pairwise sum serves
+    # every shape of call and the engine takes no reduction switch; only
+    # the ASEP closed form, whose terms cancel, needs a compensated sum
+    assert list(inspect.signature(analytic._expected_survival).parameters) == \
+        ["factors", "kappa", "gains"]
+
+    def fsums(node):
+        return sum(isinstance(n, ast.Name) and n.id == "fsum"
+                   or isinstance(n, ast.Attribute) and n.attr == "fsum" for n in ast.walk(node))
+    tree = ast.parse(Path(analytic.__file__).read_text())
+    asep = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "asep_scenario_a"]
+    assert len(asep) == 1
+    assert fsums(tree) == fsums(asep[0]) == 1
 
 
 def test_documented_csv_header_matches_the_sweep():
