@@ -109,6 +109,8 @@ class SweepPlan:
                 raise ValueError(f"outage threshold {t} outside [0, 1]")
         if not self.outage_thresholds:
             raise ValueError("at least one outage threshold is required")
+        if not self.relay_counts:
+            raise ValueError("at least one relay count is required")
         for k in self.relay_counts:
             if k < 1:
                 raise ValueError(f"relay count {k} must be >= 1")
@@ -248,6 +250,8 @@ def parse_config(text: str) -> RunConfig:
     relays = secondary.get("relays", 1)
     if kind is Scenario.A and relays != 1:
         raise ConfigError("scenario a supports a single relay", hline)
+    if relays < 1:
+        raise ConfigError(f"relays {relays} out of range, must be >= 1", hline)
 
     link_defaults: dict[str, FadingLink] = {}
     link_overrides: dict[tuple[str, int], FadingLink] = {}

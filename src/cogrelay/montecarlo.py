@@ -6,19 +6,17 @@ counter-based Philox-4x64 stream per (seed, link) pair.  A trial takes
 whole 4-word Philox blocks, 4 * ceil(m / 4) words of which the first m
 are used, so trial i starts at block i * ceil(m / 4) and any partition
 of the trial range produces the same union of draws: the gains and the
-outage counts are bit-identical regardless of chunking or parallel split.
+outage counts are bit-identical however the trial range is cut into
+slices or split across threads.
 
-The trial range is cut into chunks of _CHUNK = 2^20 trials, and each
-chunk into slices of at most _SLICE = 2^14 trials, which are drawn and
-scored while they fit in cache.  The slices run concurrently on one
-process-wide thread pool (numpy releases the GIL in Philox generation
-and in the ufunc loops), and their results are collected in slice order.
-The SEP sums are float sums: per chunk they equal numpy's pairwise
-``sum`` over the whole chunk bit for bit, because the slices are cut
-along numpy's own pairwise split (``_spans``) and their sums are added
-back up that tree (``_add_up``); the chunk totals are added in order.
-They therefore depend on _CHUNK but not on _SLICE or on the number of
-worker threads.
+The trial range is cut into slices of at most _SLICE = 2^14 trials, which
+are drawn and scored while they fit in cache.  The slices run
+concurrently on one process-wide thread pool (numpy releases the GIL in
+Philox generation and in the ufunc loops), and their results are added
+up in slice order.  The SEP sums are float sums, numpy's pairwise sum
+within each slice and the slice totals added in order, so they depend on
+_SLICE but not on the number of worker threads or on the order in which
+the slices finish.
 
 Links are named as in ``link_table``: ``x, w, y, l, z, v`` in Scenario
 (a), and ``x0, w0, y0, l0, x1, ...`` (relay k carries index k at every
@@ -68,12 +66,10 @@ __all__ = [
 ]
 
 DEFAULT_TRIALS = 100_000
-# A chunk fixes only the order of the float sums (numpy's pairwise
-# order over each chunk); every chunk is drawn and scored in slices of at
-# most _SLICE trials, which must stay >= 128 (see ``_spans``).  Up to
-# _MAX_WORKERS slices are in flight at once, so live memory is about
-# that many slices' worth.
-_CHUNK = 1 << 20
+# Every slice of at most _SLICE trials is drawn and scored in one piece,
+# and the slice totals are added in slice order, so the float SEP sums
+# depend on _SLICE.  Up to _MAX_WORKERS slices are in flight at once, so
+# live memory is about that many slices' worth.
 _SLICE = 1 << 14
 _MAX_WORKERS = 4
 _U64 = 1 << 64
@@ -266,37 +262,6 @@ def _sinrs(draw, powers, scenario, K, exact, e2e):
     return out, out
 
 
-def _chunks(trials: int):
-    if trials < 1_000:
-        raise ValueError("at least 1000 trials are required")
-    for start in range(0, trials, _CHUNK):
-        yield start, min(_CHUNK, trials - start)
-
-
-def _spans(start: int, n: int) -> list[tuple[int, int]]:
-    """The slices (start, length) of trials start..start+n-1, in order:
-    numpy's pairwise split of a length-n array, which cuts a span longer
-    than _SLICE at h = n//2 - (n//2) % 8."""
-    if n <= _SLICE:
-        return [(start, n)]
-    h = n // 2
-    h -= h % 8
-    return _spans(start, h) + _spans(start + h, n - h)
-
-
-def _add_up(n: int, sums):
-    """The next results of the iterator ``sums``, one per slice of
-    ``_spans(start, n)``, added up that split tree with ``+``.  Numpy does
-    not split below 128 elements, so as long as _SLICE >= 128 a float sum
-    over a span, added up this way, equals ``np.sum`` over the whole span
-    bit for bit."""
-    if n <= _SLICE:
-        return next(sums)
-    h = n // 2
-    h -= h % 8
-    return _add_up(h, sums) + _add_up(n - h, sums)
-
-
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
     # created on the first Monte Carlo call and kept for the process
@@ -306,15 +271,12 @@ def _pool() -> ThreadPoolExecutor:
 
 
 def _tally(trials: int, leaf):
-    """``leaf(start, n)`` summed over every slice of every chunk of the
-    trial range; the slices run on the pool."""
-    chunks = list(_chunks(trials))
-    spans = [span for start, n in chunks for span in _spans(start, n)]
-    sums = _pool().map(lambda span: leaf(*span), spans)
-    total = 0
-    for _, n in chunks:
-        total = total + _add_up(n, sums)
-    return total
+    """``leaf(start, n)`` over the slices of the trial range, run on the
+    pool and added up in slice order."""
+    if trials < 1_000:
+        raise ValueError("at least 1000 trials are required")
+    starts = range(0, trials, _SLICE)
+    return sum(_pool().map(lambda start: leaf(start, min(_SLICE, trials - start)), starts))
 
 
 def _proportion(hits: int, trials: int, seed: int) -> Estimate:
@@ -352,8 +314,10 @@ def estimate_rows(scenario: NetworkScenario, rows: list[tuple[int, PowerProfile]
     a/2 * erfc(sqrt(b*gamma)) of ``mod`` (``specfun.erfc_sqrt``) over source
     1's SINR in Scenario (a) and the selected relay's end-to-end SINR in
     Scenario (b); either is None when its ``theta`` or ``mod`` is not
-    given."""
+    given, and at least one of them must be."""
     exact = _is_exact(sinr_kind)
+    if theta is None and mod is None:
+        raise ValueError("at least one of theta and mod is required")
     if not rows:
         return []
     if not all(1 <= K <= scenario.K for K, _ in rows):

@@ -288,14 +288,14 @@ class TestRunSweep:
         SMALL.replace("outage_thresholds = 0.0, 0.1", "outage_thresholds = 0.1, 0.3"),
         SMALL_B.replace("relay_counts = 1, 2, 3", "relay_counts = 1, 2")],
         ids=["scenario_a", "scenario_b"])
-    def test_rows_share_one_draw_per_chunk(self, text, monkeypatch):
-        # 2000 trials in chunks of 600 (four per row): every row, whatever its
-        # relay count, is scored on the same draw of each chunk, and its cells
+    def test_rows_share_one_draw_per_slice(self, text, monkeypatch):
+        # 2000 trials in slices of 600 (four per row): every row, whatever its
+        # relay count, is scored on the same draw of each slice, and its cells
         # equal its own standalone estimates exactly
         text = text.replace("start_db = 0.0", "start_db = 10.0") \
                    .replace("stop_db = 10.0", "stop_db = 20.0") \
                    .replace("threshold_db = 3.0", "threshold_db = -6.0")
-        monkeypatch.setattr(montecarlo, "_CHUNK", 600)
+        monkeypatch.setattr(montecarlo, "_SLICE", 600)
         draw_gains, calls = montecarlo.draw_gains, []
         monkeypatch.setattr(montecarlo, "draw_gains",
                             lambda *a, **k: calls.append(a) or draw_gains(*a, **k))

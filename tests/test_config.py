@@ -233,6 +233,14 @@ class TestErrors:
             parse_config(text)
         assert err.value.line == self._line_of(text, bad)
 
+    @pytest.mark.parametrize("relays", [0, -2])
+    def test_relays_out_of_range_reports_the_secondary_header(self, relays):
+        # checked before the link and sweep sections read the relay count
+        text = TEXT_B.replace("relays = 2", f"relays = {relays}")
+        with pytest.raises(ConfigError, match=f"relays {relays} out of range") as err:
+            parse_config(text)
+        assert err.value.line == self._line_of(text, "[secondary]")
+
     def test_threshold_out_of_range(self):
         with pytest.raises(ConfigError):
             parse_config(BASE.replace("outage_thresholds = 0.0, 0.1",
@@ -255,6 +263,8 @@ class TestSweepPlan:
             SweepPlan("primary_snr_db", 0.0, 5.0, 0.0, (0.1,))
         with pytest.raises(ValueError):
             SweepPlan("sideways", 0.0, 5.0, 1.0, (0.1,))
+        with pytest.raises(ValueError, match="relay count"):
+            SweepPlan("primary_snr_db", 0.0, 5.0, 1.0, (0.1,), relay_counts=())
 
 
 class TestRoundTrip:

@@ -121,38 +121,27 @@ class TestSampler:
             mc._gamma_stream(7, 3, 3, 1.7, 1_234, 8_766)])
         assert np.array_equal(full, parts)
 
-    def test_chunking_invariance(self, monkeypatch):
-        sc = scenario_a()
-        ref = mc.estimate_outage(sc, POWERS, 2.0, trials=20_000, seed=9)
-        monkeypatch.setattr(mc, "_CHUNK", 1024)
-        small = mc.estimate_outage(sc, POWERS, 2.0, trials=20_000, seed=9)
-        assert ref.value == small.value
-
 
 class TestSlices:
-    """Each chunk is drawn and scored in slices cut along numpy's pairwise
-    split, so the estimates do not depend on the slice size."""
+    """The trial range is drawn and scored in slices; the outage estimates
+    do not depend on the slice size, and the SEP sums are the slice totals
+    added in slice order."""
 
     P2 = PowerProfile(gamma_bar_p=30.0, gamma_bar_s=3.0, gamma_bar_r=20.0,
                       max_gamma_bar_s=50.0, max_gamma_bar_r=50.0)
 
     @pytest.mark.parametrize("slice_", [1024, 4096])
     def test_estimates_do_not_depend_on_slice(self, slice_, monkeypatch):
-        # 100,003 trials in chunks of 2^15 leave a ragged last chunk; at the
-        # default slice size every chunk is a single slice
-        monkeypatch.setattr(mc, "_CHUNK", 1 << 15)
+        # 100,003 trials leave a ragged last slice at every slice size
         cases = [
-            (scenario_a(z_gain=0.3, v_gain=0.2), [(1, POWERS), (1, self.P2)],
-             dict(mod=mpsk_constants(4))),
-            (scenario_b(K=2), [(1, POWERS), (2, POWERS), (2, self.P2)],
-             dict(mod=mpsk_constants(2))),
+            (scenario_a(z_gain=0.3, v_gain=0.2), [(1, POWERS), (1, self.P2)]),
+            (scenario_b(K=2), [(1, POWERS), (2, POWERS), (2, self.P2)]),
         ]
-        for sc, rows, kw in cases:
-            ref = mc.estimate_rows(sc, rows, theta=2.0, trials=100_003, seed=21, **kw)
+        for sc, rows in cases:
+            ref = mc.estimate_rows(sc, rows, theta=2.0, trials=100_003, seed=21)
             with monkeypatch.context() as m:
                 m.setattr(mc, "_SLICE", slice_)
-                sliced = mc.estimate_rows(sc, rows, theta=2.0, trials=100_003,
-                                          seed=21, **kw)
+                sliced = mc.estimate_rows(sc, rows, theta=2.0, trials=100_003, seed=21)
             assert sliced == ref
 
     def test_primary_outage_does_not_depend_on_slice(self, monkeypatch):
@@ -163,24 +152,8 @@ class TestSlices:
         assert [mc.estimate_primary_outage(inputs, trials=30_001, seed=22, phase=ph)
                 for ph in ("ma", "bc")] == ref
 
-    @pytest.mark.parametrize("slice_", [128, 1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16])
-    def test_span_tree_reproduces_numpy_sum(self, slice_, monkeypatch):
-        # Summands of mixed sign spanning ~20 orders of magnitude, so that a
-        # different grouping (halving at n//2, or a slice below numpy's
-        # 128-element block) changes the last bits of some of these sums.
-        monkeypatch.setattr(mc, "_SLICE", slice_)
-        rng = np.random.default_rng(23)
-        for n in (1000, 1424, 100_000, 1 << 20, 999_983, 65_537, 262_149):
-            a = rng.standard_normal(n) * np.exp(4.0 * rng.standard_normal(n))
-            spans = mc._spans(0, n)
-            starts, lengths = zip(*spans)
-            assert list(starts) == np.cumsum((0,) + lengths[:-1]).tolist()
-            assert sum(lengths) == n and max(lengths) <= slice_
-            total = mc._add_up(n, iter([a[s:s + k].sum() for s, k in spans]))
-            assert total.hex() == a.sum().hex(), n
-
     def test_scoring_memory_is_slice_sized(self):
-        # K = 4 over 1,050,000 trials: whole-chunk scoring peaked at 143 MB
+        # K = 4 over 1,050,000 trials: scoring 2^20 trials at once peaked at 143 MB
         # traced; slices of 2^14 trials peak near 2.4 MB per worker (4.5 MB
         # with 2 workers, 8.2 MB with _MAX_WORKERS = 4)
         rows = [(1, POWERS), (2, POWERS), (4, POWERS)]
@@ -204,7 +177,7 @@ class TestPool:
 
     @staticmethod
     def _estimates():
-        # a ragged last chunk, several slices per chunk at the default size
+        # a ragged last slice, several slices at the default size
         inputs, kw = TestPrimaryEstimator.INPUTS, dict(theta=2.0, trials=100_003, seed=28)
         return [
             mc.estimate_rows(scenario_a(z_gain=0.3, v_gain=0.2),
@@ -216,14 +189,15 @@ class TestPool:
         ]
 
     def test_estimates_do_not_depend_on_worker_count(self, monkeypatch):
-        monkeypatch.setattr(mc, "_CHUNK", 1 << 16)
-        ref = self._estimates()
-        for workers in (1, 2, 8):   # 8: more workers than the host has cores
-            with ThreadPoolExecutor(workers) as pool, monkeypatch.context() as m:
-                m.setattr(mc, "_pool", lambda: pool)
-                assert self._estimates() == ref, workers
-                m.setattr(mc, "_SLICE", 1024)
-                assert self._estimates() == ref, (workers, 1024)
+        # the SEP sums depend on the slice size, so each size has its own
+        # reference
+        for slice_ in (mc._SLICE, 1024):
+            monkeypatch.setattr(mc, "_SLICE", slice_)
+            ref = self._estimates()
+            for workers in (1, 2, 8):   # 8: more workers than the host has cores
+                with ThreadPoolExecutor(workers) as pool, monkeypatch.context() as m:
+                    m.setattr(mc, "_pool", lambda: pool)
+                    assert self._estimates() == ref, (workers, slice_)
 
     @pytest.mark.parametrize("primary", [False, True], ids=["rows", "primary"])
     def test_slice_error_reaches_caller(self, primary, monkeypatch):
@@ -236,7 +210,7 @@ class TestPool:
 
         ref, stream, pool = run(), mc._gamma_stream, mc._pool()
         monkeypatch.setattr(mc, "_SLICE", 1024)
-        bad = mc._spans(0, 100_000)[3][0]   # the fourth of 128 slices
+        bad = 3 * 1024   # the fourth of 98 slices
 
         def failing(seed, link_id, m, mean, start, count):
             if start == bad:
@@ -289,25 +263,36 @@ class TestOnePass:
                          mod=mpsk_constants(2), trials=4096, seed=26)
         assert sorted(args[2] for args in calls) == [0] * 8 + [1] * 4
 
-    def test_scenario_b_sep_is_over_the_end_to_end_sinr(self):
+    def test_scenario_b_sep_is_over_the_end_to_end_sinr(self, monkeypatch):
+        # 5,000 trials in slices of 1024, the last one ragged: the SEP sum is
+        # the in-order sum of the per-slice sums.  At this seed numpy's
+        # pairwise sum over all 5,000 trials gives a different mean.
         sc, mod, n = scenario_b(K=2), mpsk_constants(2), 5_000
+        monkeypatch.setattr(mc, "_SLICE", 1024)
         [(oc, sep)] = mc.estimate_rows(sc, [(2, POWERS)], theta=2.0, mod=mod,
-                                       trials=n, seed=27)
-        sinr = mc.e2e_sinr(mc.draw_gains(sc, seed=27, trials=n), POWERS, sc, "exact")
-        assert sep.value == (0.5 * mod.a * erfc(np.sqrt(mod.b * sinr))).sum() / n
+                                       trials=n, seed=39)
+        sinr = mc.e2e_sinr(mc.draw_gains(sc, seed=39, trials=n), POWERS, sc, "exact")
+        kernel = 0.5 * mod.a * erfc(np.sqrt(mod.b * sinr))
+        total = sum(kernel[start:start + 1024].sum() for start in range(0, n, 1024))
+        assert total / n != kernel.sum() / n
+        assert sep.value == total / n
         assert oc.value == np.count_nonzero(sinr < 2.0) / n
 
-    @pytest.mark.parametrize("sc, kw", [
-        (scenario_a(), dict(sinr_kind="approximate")),
-    ], ids=["sinr_kind"])
-    def test_bad_arguments_raise_before_any_draw(self, sc, kw, monkeypatch):
+    @pytest.mark.parametrize("kw", [
+        dict(sinr_kind="approximate"),
+        dict(theta=None, mod=None),
+        dict(trials=999),
+        dict(rows=[(1, POWERS), (0, POWERS)]),
+    ], ids=["sinr_kind", "neither_theta_nor_mod", "trials", "zero_relays"])
+    def test_bad_arguments_raise_before_any_draw(self, kw, monkeypatch):
         def draw_gains(*args, **kwargs):
             raise AssertionError("gains were drawn")
 
         monkeypatch.setattr(mc, "draw_gains", draw_gains)
+        args = dict(rows=[(1, POWERS)], theta=2.0, mod=mpsk_constants(2),
+                    trials=5_000) | kw
         with pytest.raises(ValueError):
-            mc.estimate_rows(sc, [(1, POWERS)], theta=2.0, mod=mpsk_constants(2),
-                             trials=5_000, **kw)
+            mc.estimate_rows(scenario_a(), **args)
 
 
 class TestSinr:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import cogrelay
-from cogrelay import analytic, cli, config
+from cogrelay import analytic, cli, config, montecarlo
 
 SOURCES = sorted(Path(cogrelay.__file__).parent.glob("*.py"))
 
@@ -106,3 +106,11 @@ def test_documented_config_grammar_matches_the_parser():
         documented[kind] = {key: not note.startswith("optional") for key, note in entries}
     assert documented == {kind: {key: required for key, (_, required) in grammar.items()}
                           for kind, grammar in config._GRAMMAR.items()}
+
+
+def test_documented_slice_size_matches_the_engine():
+    # the README's Reproducibility section states the slice size that the
+    # ASEP's float sums depend on; it must be the one the engine uses
+    readme = (Path(cogrelay.__file__).parents[2] / "README.md").read_text()
+    sizes = re.findall(r"slices of\s+at most 2\^(\d+) trials", readme)
+    assert sizes and all(1 << int(size) == montecarlo._SLICE for size in sizes), sizes
