@@ -11,9 +11,9 @@ terms come from the multinomial theorem and the Gamma Laplace transform.
 Every input of the engine broadcasts (the scales, kappa, the gain rates
 and the series weights) and each element is contracted on its own, so a
 whole sweep is one engine call.  One lattice solver, ``_solve``, finds
-every regulated power of a sweep at once, and the closed forms the sweep
-reports take one link set with arrays of powers (``*_lattice``, one row
-each); their scalar forms are one-row calls.  The printed forms in the
+every regulated power of a sweep at once, and each closed form the sweep
+reports takes one link set with float SNRs or 1-D arrays of them (one row
+each) and returns a float or an array.  The printed forms in the
 source material contain transcription slips, so every function is
 assembled directly from the underlying expectation integrals; the
 quadrature oracles in :mod:`cogrelay.oracle` and the Monte Carlo engine
@@ -38,7 +38,7 @@ from math import comb, fsum, lgamma, log
 
 import numpy as np
 
-from .errors import CogrelayError, Infeasible, NearDegeneratePoles, NumericalInstability
+from .errors import Infeasible, NearDegeneratePoles, NumericalInstability
 from .model import FadingLink, ModulationSpec
 from .specfun import de_rule, partial_fraction_series, tricomi_u
 
@@ -53,12 +53,9 @@ __all__ = [
     "solve_power_lattice",
     "cdf_scenario_a",
     "cdf_scenario_a_e2e",
-    "cdf_scenario_a_e2e_lattice",
     "cdf_scenario_b",
-    "cdf_scenario_b_lattice",
     "asep_scenario_a",
     "asep_kernel_scenario_a",
-    "asep_kernel_scenario_a_lattice",
 ]
 
 # Probabilities may overshoot [0, 1] by at most this much before we call
@@ -76,7 +73,7 @@ CANCELLATION_LIMIT = 1e5
 # |u| = 6.25 see less than e^-250 of the integrand's peak).
 _KERNEL_OFFSETS, _KERNEL_WEIGHTS = de_rule(1.0 / 16.0, 100)
 
-# Largest temporary of asep_kernel_scenario_a_lattice, in floats: a block
+# Largest temporary of asep_kernel_scenario_a, in floats: a block
 # of rows x 201 nodes x the terms of chi1 or chi2.  2**15 (256 KB) gives
 # the analytic_highm sweep (56 terms) blocks of 2 rows and example.cfg
 # (10 terms) blocks of 16.  On analytic_highm (2 vCPUs, numpy 2.4.6) the
@@ -117,8 +114,8 @@ class PrimaryOutageInputs:
 class SecondaryCdfInputs:
     """Symbols of the secondary SINR cdf: secondary links, interference
     links and transmit SNRs.  The SNRs are floats, or arrays of one shape
-    whose elements are the rows of a lattice (1-D for the ``*_lattice``
-    closed forms)."""
+    whose elements are the rows of a lattice (1-D for the closed forms,
+    which then return one value per row)."""
 
     x: FadingLink          # R  <-> S2
     w: FadingLink          # R  <-> S1
@@ -143,32 +140,12 @@ class SecondaryCdfInputs:
 _POWERS = ("gamma_bar_p", "gamma_bar_s", "gamma_bar_r")
 
 
-def _one_row(inputs: SecondaryCdfInputs) -> SecondaryCdfInputs:
-    """``inputs`` (float SNRs) as the one row of a lattice."""
-    return replace(inputs, **{name: np.array([getattr(inputs, name)]) for name in _POWERS})
-
-
 def _raised(lattice_result) -> float:
     """The value of a one-row lattice result, or raise its error."""
     (value,), (error,) = lattice_result
     if error is not None:
         raise error
     return float(value)
-
-
-def _per_row(fn, items) -> tuple[np.ndarray, list]:
-    """``fn`` of each item: the values (NaN where it raised a
-    CogrelayError) and per item None or that error, as ``_solve``
-    returns them."""
-    values, errors = [], []
-    for item in items:
-        try:
-            values.append(fn(item))
-            errors.append(None)
-        except CogrelayError as exc:
-            values.append(math.nan)
-            errors.append(exc)
-    return np.array(values, dtype=float), errors
 
 
 def _frozen(*columns) -> tuple[np.ndarray, ...]:
@@ -261,18 +238,25 @@ def _survival_terms(factors, kappa, gains):
     return terms
 
 
-def _clamp_probability(p: float, where: str) -> float:
-    if not -CLAMP_TOL <= p <= 1.0 + CLAMP_TOL:
-        raise NumericalInstability(f"{where}: probability {p!r} outside [0,1] beyond tolerance")
-    return min(1.0, max(0.0, p))
+def _clamped(value, high: float, slack: float, error: str):
+    """``value`` clipped to [0, high] elementwise, a float for a float; if
+    an element is off [-CLAMP_TOL, high + slack] (NaN included), raise
+    NumericalInstability(``error`` % the first such element)."""
+    value = np.asarray(value)
+    if off := value[~((-CLAMP_TOL <= value) & (value <= high + slack))].tolist():
+        raise NumericalInstability(error % (off[0],))
+    out = np.clip(value, 0.0, high)
+    return float(out) if out.ndim == 0 else out
 
 
-def _asep_value(kernel: float, mod: ModulationSpec, where: str) -> float:
-    """a/2 - a sqrt(b) / (2 sqrt(pi)) * kernel, clamped to [0, a/2]."""
+def _clamp_probability(p, where: str):
+    return _clamped(p, 1.0, CLAMP_TOL, where + ": probability %r outside [0,1] beyond tolerance")
+
+
+def _asep_value(kernel, mod: ModulationSpec, where: str):
+    """a/2 - a sqrt(b) / (2 sqrt(pi)) * kernel, clamped to [0, a/2] elementwise."""
     value = mod.a / 2.0 - mod.a * math.sqrt(mod.b) / (2.0 * math.sqrt(math.pi)) * kernel
-    if not -CLAMP_TOL <= value <= mod.a / 2.0 + 1e-9:
-        raise NumericalInstability(f"{where}: value {value!r} outside [0, a/2]")
-    return min(mod.a / 2.0, max(0.0, value))
+    return _clamped(value, mod.a / 2.0, 1e-9, where + ": value %r outside [0, a/2]")
 
 
 # ---------------------------------------------------------------------------
@@ -483,38 +467,30 @@ def _survival_side(inp: SecondaryCdfInputs, theta: float):
             + _expected_survival([(upper, s)], r.beta, gains))
 
 
-def _probabilities(p: np.ndarray, where: str) -> tuple[np.ndarray, list]:
-    """``_clamp_probability`` of each element of ``p``, as ``_per_row``."""
-    return _per_row(lambda x: _clamp_probability(x, where), p.tolist())
+def _zero(inputs: SecondaryCdfInputs):
+    """0 for each row of ``inputs``: a float for float SNRs."""
+    return np.zeros(np.shape(inputs.gamma_bar_p)) if np.ndim(inputs.gamma_bar_p) else 0.0
 
 
-def cdf_scenario_a_e2e_lattice(inputs: SecondaryCdfInputs, theta: float) -> tuple:
-    """``cdf_scenario_a_e2e`` for every row of the 1-D SNR arrays of
-    ``inputs``: the values (NaN where the row failed) and per row None or
-    its NumericalInstability.  A row's value does not depend on the
-    others."""
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return np.zeros(np.size(inputs.gamma_bar_p)), [None] * np.size(inputs.gamma_bar_p)
-    side1 = _survival_side(inputs, theta)
-    side2 = _survival_side(inputs.swapped(), theta)
-    return _probabilities(1.0 - side1 * side2, "cdf_scenario_a_e2e")
-
-
-def cdf_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float) -> float:
+def cdf_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float):
     """cdf at ``theta`` of the end-to-end upper-bounded SINR
-    min(gamma_S1, gamma_S2) in Scenario (a).
+    min(gamma_S1, gamma_S2) in Scenario (a), per row of ``inputs``.
 
     The two directional survival factors share the interference variables
     Y, Z and V, yet their product is taken as if they were independent, so
     the result is neither exact nor a bound on the end-to-end cdf (on
     example.cfg the success probability it implies is 60-3,000x below
     bounded-SINR Monte Carlo).  The S2-side factor is the S1-side
-    evaluator under the x <-> w, z <-> v swap.  One row of
-    ``cdf_scenario_a_e2e_lattice``, whose error it raises.
+    evaluator under the x <-> w, z <-> v swap.  A row's value does not
+    depend on the others.
     """
-    return _raised(cdf_scenario_a_e2e_lattice(_one_row(inputs), theta))
+    if theta < 0.0:
+        raise ValueError("theta must be nonnegative")
+    if theta == 0.0:
+        return _zero(inputs)
+    side1 = _survival_side(inputs, theta)
+    side2 = _survival_side(inputs.swapped(), theta)
+    return _clamp_probability(1.0 - side1 * side2, "cdf_scenario_a_e2e")
 
 
 # ---------------------------------------------------------------------------
@@ -530,34 +506,23 @@ def _relay_pair_survival(inp: SecondaryCdfInputs, theta):
                               r.beta + 1.0, [(inp.y.m, 1.0, r.by)])
 
 
-def cdf_scenario_b_lattice(inputs: list[SecondaryCdfInputs], K: int, theta: float) -> tuple:
-    """``cdf_scenario_b`` for every row of the 1-D SNR arrays of the
-    per-relay ``inputs``: the values (NaN where the row failed) and per row
-    None or the first NumericalInstability it met.  A row's value does not
-    depend on the others."""
+def cdf_scenario_b(inputs: list[SecondaryCdfInputs], K: int, theta: float):
+    """cdf at ``theta`` of the best-relay end-to-end SINR in Scenario (b),
+    per row of the per-relay ``inputs``: the relays are independent, so the
+    max-order statistic is the product of the per-relay pair cdfs (only the
+    x, w, y links of each input are used; source nodes carry no direct
+    primary interference).  A row's value does not depend on the others."""
     if K < 1 or len(inputs) != K:
         raise ValueError(f"need one input set per relay, got {len(inputs)} for K={K}")
     if theta < 0.0:
         raise ValueError("theta must be nonnegative")
-    n = np.size(inputs[0].gamma_bar_p)
     if theta == 0.0:
-        return np.zeros(n), [None] * n
-    prod, errors = 1.0, [None] * n
+        return _zero(inputs[0])
+    prod = 1.0
     for inp in inputs:
-        term, failed = _probabilities(1.0 - _relay_pair_survival(inp, theta),
-                                      "cdf_scenario_b per-relay term")
-        prod, errors = prod * term, [e or f for e, f in zip(errors, failed)]
-    value, failed = _probabilities(prod, "cdf_scenario_b")
-    return value, [e or f for e, f in zip(errors, failed)]
-
-
-def cdf_scenario_b(inputs: list[SecondaryCdfInputs], K: int, theta: float) -> float:
-    """cdf at ``theta`` of the best-relay end-to-end SINR in Scenario (b):
-    the relays are independent, so the max-order statistic is the product
-    of the per-relay pair cdfs (only the x, w, y links of each input are
-    used; source nodes carry no direct primary interference).  One row of
-    ``cdf_scenario_b_lattice``, whose error it raises."""
-    return _raised(cdf_scenario_b_lattice([_one_row(inp) for inp in inputs], K, theta))
+        prod = prod * _clamp_probability(1.0 - _relay_pair_survival(inp, theta),
+                                         "cdf_scenario_b per-relay term")
+    return _clamp_probability(prod, "cdf_scenario_b")
 
 
 # ---------------------------------------------------------------------------
@@ -576,34 +541,28 @@ class AsepResult:
     cancellation_ratio: float
 
 
-def asep_kernel_scenario_a_lattice(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> tuple:
-    """``asep_kernel_scenario_a`` for every row of the 1-D SNR arrays of
-    ``inputs``: the values (NaN where the row failed) and per row None or
-    its NumericalInstability.  The rule's temporaries are rows x 201 nodes
-    x the terms of chi1 or chi2, so the rows go through in blocks whose
-    temporaries hold at most ``_KERNEL_FLOATS``; a row's value does not
-    depend on its block."""
+def asep_kernel_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec):
+    """ASEP of source 1 in Scenario (a) per row of ``inputs``, the value
+    the sweep reports: the kernel average
+    a/2 - a*sqrt(b)/(2 sqrt(pi)) int_0^inf e^{-b g} g^{-1/2} chi1 chi2 dg
+    of the direction cdf 1 - chi1 chi2, by a fixed 201-node double-exponential
+    rule in x = ln g centred on the peak g = 1/(2 mu) of g^{1/2} e^{-mu g},
+    where mu is the integrand's decay rate.  The rule's temporaries are
+    rows x 201 nodes x the terms of chi1 or chi2, so the rows go through in
+    blocks whose temporaries hold at most ``_KERNEL_FLOATS``; a row's value
+    does not depend on its block."""
     terms = max(len(_term_table((inputs.x.m,), (inputs.y.m, inputs.z.m))[1]),
                 len(_term_table((inputs.w.m,), (inputs.z.m,))[1]))
     rows = max(1, _KERNEL_FLOATS // (_KERNEL_OFFSETS.size * terms))
-    kernels = []
-    for start in range(0, np.size(inputs.gamma_bar_p), rows):
-        block = replace(inputs, **{name: getattr(inputs, name)[start:start + rows, None]
-                                   for name in _POWERS})
+    powers = {name: np.reshape(getattr(inputs, name), (-1, 1)) for name in _POWERS}
+    kernel = np.empty(len(powers["gamma_bar_p"]))
+    for start in range(0, len(kernel), rows):
+        block = replace(inputs, **{name: p[start:start + rows] for name, p in powers.items()})
         g = np.exp(np.log(0.5 / _Rates(block).kernel_rate(mod.b)) + _KERNEL_OFFSETS)
         f = np.exp(-mod.b * g) * np.sqrt(g) * _chi1(block, g) * _chi2(block, g)
-        kernels += (_KERNEL_WEIGHTS * f).sum(axis=-1).tolist()
-    return _per_row(lambda kernel: _asep_value(kernel, mod, "asep_kernel_scenario_a"), kernels)
-
-
-def asep_kernel_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> float:
-    """ASEP of source 1 in Scenario (a), the value the sweep reports: the
-    kernel average a/2 - a*sqrt(b)/(2 sqrt(pi)) int_0^inf e^{-b g} g^{-1/2} chi1 chi2 dg
-    of the direction cdf 1 - chi1 chi2, by a fixed 201-node double-exponential
-    rule in x = ln g centred on the peak g = 1/(2 mu) of g^{1/2} e^{-mu g},
-    where mu is the integrand's decay rate.  One row of
-    ``asep_kernel_scenario_a_lattice``, whose error it raises."""
-    return _raised(asep_kernel_scenario_a_lattice(_one_row(inputs), mod))
+        kernel[start:start + rows] = (_KERNEL_WEIGHTS * f).sum(axis=-1)
+    return _asep_value(kernel.reshape(np.shape(inputs.gamma_bar_p)), mod,
+                       "asep_kernel_scenario_a")
 
 
 def _asep_terms(inputs: SecondaryCdfInputs, r: _Rates, alphas: np.ndarray,

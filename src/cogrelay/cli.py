@@ -14,10 +14,10 @@ unless ``--mc-only``, ``mc_*`` unless ``--analytic-only``, ``*_asep`` only
 in Scenario (a).  A silent row, with no secondary power (a zero primary
 outage threshold, or ``infeasible``), supplies outage 1, SEP a/2 and CI 0
 to those cells.  The powers of the whole lattice are solved first, then
-each closed-form column in one lattice call per relay count over the rows
-that transmit; a row's value equals its one-row call bit for bit.  A row
-whose power solve or closed form raised leaves those cells (and a failed
-power) blank and says why in ``error``; the run continues.
+each closed-form column in one call per relay count over the SNR arrays
+of the rows that transmit; a row's value equals its call alone bit for
+bit.  A row whose power solve or closed form raised leaves those cells
+(and a failed power) blank and says why in ``error``; the run continues.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,10 +34,9 @@ from .errors import CogrelayError, ConfigError, Infeasible
 from .model import (FadingLink, ModulationSpec, NetworkScenario, PowerProfile,
                     Scenario, db_to_linear, mpsk_constants, primary_threshold)
 from .analytic import (PrimaryOutageInputs, SecondaryCdfInputs, asep_kernel_scenario_a,
-                       asep_kernel_scenario_a_lattice, _expected_survival, asep_scenario_a,
-                       cdf_scenario_a, cdf_scenario_a_e2e_lattice, cdf_scenario_b,
-                       cdf_scenario_b_lattice, primary_outage, relay_phase_outage,
-                       solve_power_lattice, solve_secondary_source_power)
+                       _expected_survival, asep_scenario_a, cdf_scenario_a,
+                       cdf_scenario_a_e2e, cdf_scenario_b, primary_outage,
+                       relay_phase_outage, solve_power_lattice, solve_secondary_source_power)
 from .config import RunConfig, SweepPlan, load_config
 from . import montecarlo, specfun
 
@@ -164,32 +164,43 @@ def _sweep_point(plan: SweepPlan, x_db: float, threshold: float, gp: float, cap_
 def _closed_forms(cfg: RunConfig, K: int, rows: list[dict], mod: ModulationSpec,
                   filled: set[str]) -> None:
     """Fill the ``analytic_*`` cells of the transmitting ``rows`` of relay
-    count ``K`` with one lattice call per column.  A row whose outage
-    raised gets that error and no ASEP; a row whose ASEP raised keeps its
-    outage and gets that error."""
+    count ``K``, one column at a time.  A row whose outage raised gets that
+    error and no ASEP; a row whose ASEP raised keeps its outage and gets
+    that error."""
     scenario = cfg.network_scenario(K)
-    powers = [np.array([cells[name] for cells in rows])
-              for name in ("gamma_bar_p", "gamma_bar_s", "gamma_bar_r")]
+    theta = scenario.secondary_threshold
+
+    def outage(*powers):
+        inputs = _secondary_inputs(scenario, *powers)
+        return (cdf_scenario_a_e2e(inputs[0], theta) if scenario.scenario is Scenario.A
+                else cdf_scenario_b(inputs, K, theta))
+
     if "analytic_oc" in filled:
-        inputs, theta = _secondary_inputs(scenario, *powers), scenario.secondary_threshold
-        _fill(rows, "analytic_oc", *(cdf_scenario_a_e2e_lattice(inputs[0], theta)
-                                     if scenario.scenario is Scenario.A
-                                     else cdf_scenario_b_lattice(inputs, K, theta)))
-    ok = [i for i, cells in enumerate(rows) if "error" not in cells]
+        _fill(rows, "analytic_oc", outage)
+    ok = [cells for cells in rows if "error" not in cells]
     if "analytic_asep" in filled and ok:
-        inputs = _secondary_inputs(scenario, *(p[ok] for p in powers))
-        _fill([rows[i] for i in ok], "analytic_asep",
-              *asep_kernel_scenario_a_lattice(inputs[0], mod))
+        _fill(ok, "analytic_asep",
+              lambda *powers: asep_kernel_scenario_a(_secondary_inputs(scenario, *powers)[0], mod))
 
 
-def _fill(rows: list[dict], name: str, values: np.ndarray, failures: list) -> None:
-    """Write a lattice call's values into ``rows``, or the error of a row
-    that failed."""
-    for cells, value, exc in zip(rows, values.tolist(), failures):
-        if exc is None:
-            cells[name] = value
+def _fill(rows: list[dict], name: str, form) -> None:
+    """Set the ``name`` cell of ``rows`` to ``form`` of their SNR arrays
+    (gamma_bar_p, gamma_bar_s, gamma_bar_r) in one call.  Should that call
+    raise, a lone row gets the error cell and more rows are filled one by
+    one, so only a row that fails alone gets an error cell; a row's value
+    does not depend on the batch, so it is the same either way."""
+    try:
+        values = form(*(np.array([cells[power] for cells in rows])
+                        for power in ("gamma_bar_p", "gamma_bar_s", "gamma_bar_r")))
+    except CogrelayError as exc:
+        if len(rows) == 1:
+            rows[0]["error"] = _error_cell(exc)
         else:
-            cells["error"] = _error_cell(exc)
+            for cells in rows:
+                _fill([cells], name, form)
+        return
+    for cells, value in zip(rows, values.tolist()):
+        cells[name] = value
 
 
 def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
@@ -197,7 +208,7 @@ def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
     """Evaluate the full (grid point x threshold x relay count) lattice in
     deterministic order.  The powers of the whole lattice are solved first
     (``_solve_powers``), then each closed-form column is evaluated over the
-    transmitting rows of each relay count in one lattice call, and the
+    transmitting rows of each relay count in one call (``_fill``), and the
     Monte Carlo cells of the rows without an error are estimated together,
     on one gain draw per trial slice for the largest relay count among
     them.  Each row keeps only the cells ``_filled_cells`` names."""
@@ -363,13 +374,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(f"bad override: {exc}")
 
-    rows = run_sweep(plan, cfg, analytic_only=args.analytic_only,
-                     mc_only=args.mc_only)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            write_csv(rows, fh)
-    else:
-        write_csv(rows, sys.stdout)
+    try:
+        out = (open(args.output, "w", encoding="utf-8", newline="\n") if args.output
+               else nullcontext(sys.stdout))
+    except OSError as exc:
+        parser.error(f"cannot write output: {exc}")
+    with out as stream:
+        write_csv(run_sweep(plan, cfg, analytic_only=args.analytic_only,
+                            mc_only=args.mc_only), stream)
     return 0
 
 

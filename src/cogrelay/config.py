@@ -33,9 +33,9 @@ which of them are required are stated once, in ``_GRAMMAR``: the parser
 reads every section by it and ``serialize_config`` writes every section
 from it.  Per-relay link overrides use a 1-based index suffix, e.g.
 ``[links.pt_relay.2]``; the unsuffixed section is the shared default.
-Additional named sweeps live in ``[sweep.<name>]`` sections.  All dB
-values are converted to linear exactly once, when the parsed config is
-turned into model objects.
+Additional named sweeps live in ``[sweep.<name>]`` sections, the name
+non-empty and without whitespace.  All dB values are converted to linear
+exactly once, when the parsed config is turned into model objects.
 """
 
 from __future__ import annotations
@@ -280,6 +280,8 @@ def parse_config(text: str) -> RunConfig:
                 link_overrides[(name, idx)] = link
         elif parts[0] == "sweep" and len(parts) <= 2:
             name = parts[1] if len(parts) == 2 else "sweep"
+            if not name or any(c.isspace() for c in name):
+                raise ConfigError(f"malformed sweep section [{section}]", hline)
             values = _read(section, "sweep", hline, keys)
             values["x_axis"] = values.pop("axis")
             values.setdefault("relay_counts", (relays,))

@@ -309,52 +309,53 @@ def _hex(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def _outcome(call):
+    """``call()``'s values as float hexes, or the repr of the
+    NumericalInstability it raised."""
+    try:
+        return _hex(np.atleast_1d(call()))
+    except NumericalInstability as exc:
+        return repr(exc)
+
+
 @settings(max_examples=30, deadline=None)
 @given(links=st.tuples(*[_LINK] * 5), relays=st.lists(st.tuples(*[_LINK] * 3), min_size=1,
                                                       max_size=3),
        rows=st.lists(_POWERS_DB, min_size=1, max_size=10), theta=st.floats(0.05, 20.0),
        data=st.data())
 def test_closed_forms_are_batch_invariant(links, relays, rows, theta, data):
-    # every row of a lattice call of the three closed forms the sweep
-    # reports has the value (bit for bit) and the error of its one-row
-    # call, of the scalar call, and of its place in a shuffled subset
-    gp, gs, gr = (10.0 ** (np.array(c) / 10.0) for c in zip(*rows))
+    # the three closed forms the sweep reports give each row of an array
+    # call, of a shuffled subset and of its one-row call the value of its
+    # float-SNR call, bit for bit; a call raises exactly when one of its
+    # rows fails alone, and then the error of such a row
+    powers = [10.0 ** (np.array(c) / 10.0) for c in zip(*rows)]
     x, w, y, z, v = links
     mod = mpsk_constants(4)
 
-    def scenario_a(idx):
-        return SecondaryCdfInputs(x=x, w=w, y=y, z=z, v=v, gamma_bar_p=gp[idx],
-                                  gamma_bar_s=gs[idx], gamma_bar_r=gr[idx])
+    def scenario_a(gp, gs, gr):
+        return SecondaryCdfInputs(x=x, w=w, y=y, z=z, v=v, gamma_bar_p=gp, gamma_bar_s=gs,
+                                  gamma_bar_r=gr)
 
-    def scenario_b(idx):
-        return [SecondaryCdfInputs(x=rx, w=rw, y=ry, z=None, v=None, gamma_bar_p=gp[idx],
-                                   gamma_bar_s=gs[idx], gamma_bar_r=gr[idx])
+    def scenario_b(gp, gs, gr):
+        return [SecondaryCdfInputs(x=rx, w=rw, y=ry, z=None, v=None, gamma_bar_p=gp,
+                                   gamma_bar_s=gs, gamma_bar_r=gr)
                 for rx, rw, ry in relays]
 
-    forms = [
-        (lambda idx: analytic.cdf_scenario_a_e2e_lattice(scenario_a(idx), theta),
-         lambda i: cdf_scenario_a_e2e(scenario_a(i), theta)),
-        (lambda idx: analytic.cdf_scenario_b_lattice(scenario_b(idx), len(relays), theta),
-         lambda i: cdf_scenario_b(scenario_b(i), len(relays), theta)),
-        (lambda idx: analytic.asep_kernel_scenario_a_lattice(scenario_a(idx), mod),
-         lambda i: asep_kernel_scenario_a(scenario_a(i), mod)),
-    ]
+    forms = [lambda *p: cdf_scenario_a_e2e(scenario_a(*p), theta),
+             lambda *p: cdf_scenario_b(scenario_b(*p), len(relays), theta),
+             lambda *p: asep_kernel_scenario_a(scenario_a(*p), mod)]
     order = data.draw(st.permutations(range(len(rows))))
     subset = np.array(order[:data.draw(st.integers(1, len(rows)))])
-    for lattice, scalar in forms:
-        values, errors = lattice(np.arange(len(rows)))
-        assert values.shape == (len(rows),) and len(errors) == len(rows)
-        assert all(e is None or isinstance(e, NumericalInstability) for e in errors)
-        part, part_errors = lattice(subset)
-        assert _hex(part) == _hex(values[subset])
-        assert [repr(e) for e in part_errors] == [repr(errors[i]) for i in subset]
-        for i in range(len(rows)):
-            (one,), (one_error,) = lattice(np.array([i]))
-            assert _hex([one]) == _hex([values[i]]) and repr(one_error) == repr(errors[i])
-            try:
-                assert _hex([scalar(i)]) == _hex([values[i]]) and errors[i] is None
-            except NumericalInstability as exc:
-                assert repr(exc) == repr(errors[i])
+    for form in forms:
+        alone = [_outcome(lambda: form(*(float(c[i]) for c in powers)))
+                 for i in range(len(rows))]
+        for idx in [np.array([i]) for i in range(len(rows))] + [np.arange(len(rows)), subset]:
+            outcome = _outcome(lambda: form(*(c[idx] for c in powers)))
+            failed = [alone[i] for i in idx if isinstance(alone[i], str)]
+            if failed:
+                assert outcome in failed
+            else:
+                assert outcome == [h for i in idx for h in alone[i]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -913,6 +914,16 @@ def test_scalar_closed_forms_return_floats(monkeypatch):
               asep_kernel_scenario_a(SEC, mpsk_constants(4)),
               solve_secondary_source_power(PRIM, 0.3, 1e3), solve_relay_power(PRIM, 0.3, 1e3)]
     assert [type(v) for v in values] == [float] * len(values)
+    # 1-D SNR arrays give an array of one value per row
+    powers = dict(gamma_bar_p=np.array([8.0, 80.0, 800.0]), gamma_bar_s=np.array([6.0, 3.0, 1.0]),
+                  gamma_bar_r=np.array([9.0, 9.0, 2.0]))
+    rows, rows_b = _sec(**powers), _sec(z=None, v=None, **powers)
+    arrays = [cdf_scenario_a_e2e(rows, 1.5), cdf_scenario_a_e2e(rows, 0.0),
+              cdf_scenario_b([rows_b, rows_b], 2, 1.5), cdf_scenario_b([rows_b, rows_b], 2, 0.0),
+              asep_kernel_scenario_a(rows, mpsk_constants(4))]
+    assert [(type(a), a.shape) for a in arrays] == [(np.ndarray, (3,))] * len(arrays)
+    assert [type(v) for v in (cdf_scenario_a_e2e(SEC, 0.0), cdf_scenario_b([sec_b], 1, 0.0))] \
+        == [float, float]
     # a NaN kappa makes every term, and so the engine's 0-d sum, NaN
     survival = analytic._expected_survival
     monkeypatch.setattr(analytic, "_expected_survival",

@@ -258,19 +258,54 @@ class TestRunSweep:
                 row.gamma_bar_r) == (c.x_db, c.threshold, c.K, c.gamma_bar_p, c.gamma_bar_s,
                                      c.gamma_bar_r)
 
+    @pytest.mark.parametrize("column", ["analytic_oc", "analytic_asep"])
+    def test_failed_batch_call_is_retried_once_per_row(self, column, monkeypatch):
+        # with the engine NaN for one row, the column's call over all the
+        # transmitting rows raises; the column then calls once per row, so
+        # only that row gets the error, and the others their batch values
+        cfg = load_config(str(ROOT / "example.cfg"))
+        plan = replace(cfg.sweeps["sweep"], trials=4000)
+        clean = cli.run_sweep(plan, cfg, analytic_only=True)
+        target = [i for i, r in enumerate(clean) if r.gamma_bar_s > 0.0][5]
+        r = clean[target]
+        by = analytic._Rates(cli._secondary_inputs(cfg.network_scenario(r.K), r.gamma_bar_p,
+                                                   r.gamma_bar_s, r.gamma_bar_r)[0]).by
+        survival = analytic._expected_survival
+
+        def nan_at_target(factors, kappa, gains):
+            value = survival(factors, kappa, gains)
+            if (np.ndim(value) == 2) == (column == "analytic_asep") and np.ndim(gains[0][2]):
+                value = np.where(np.broadcast_to(gains[0][2] == by, value.shape), np.nan, value)
+            return value
+
+        name = "cdf_scenario_a_e2e" if column == "analytic_oc" else "asep_kernel_scenario_a"
+        sizes, form = [], getattr(cli, name)
+
+        def counted(inputs, *args):
+            sizes.append(inputs.gamma_bar_p.shape)
+            return form(inputs, *args)
+
+        monkeypatch.setattr(analytic, "_expected_survival", nan_at_target)
+        monkeypatch.setattr(cli, name, counted)
+        rows = cli.run_sweep(plan, cfg, analytic_only=True)
+        sending = sum(row.gamma_bar_s > 0.0 for row in clean)
+        assert sizes == [(sending,)] + [(1,)] * sending
+        assert [i for i, (row, c) in enumerate(zip(rows, clean))
+                if row.as_csv() != c.as_csv()] == [target]
+        assert rows[target].error.startswith("NumericalInstability: ")
+
     @pytest.mark.parametrize("text, counts", [
-        ((ROOT / "example.cfg").read_text(), {"cdf_scenario_a_e2e_lattice": 1,
-                                              "asep_kernel_scenario_a_lattice": 1}),
+        ((ROOT / "example.cfg").read_text(), {"cdf_scenario_a_e2e": 1,
+                                              "asep_kernel_scenario_a": 1}),
         (SMALL_B.replace("relay_counts = 1, 2, 3", "relay_counts = 1, 2")
                 .replace("start_db = 0.0", "start_db = 10.0")
                 .replace("stop_db = 10.0", "stop_db = 20.0"),
-         {"cdf_scenario_b_lattice": 2})], ids=["example", "scenario_b"])
+         {"cdf_scenario_b": 2})], ids=["example", "scenario_b"])
     def test_closed_forms_called_once_per_relay_count(self, text, counts, monkeypatch):
-        # each column is one lattice call per relay count over that count's
-        # transmitting rows, never a call per row
+        # each column is one call per relay count over the SNR arrays of
+        # that count's transmitting rows, never a call per row
         calls, entries = collections.Counter(), collections.Counter()
-        for name in ("cdf_scenario_a_e2e_lattice", "cdf_scenario_b_lattice",
-                     "asep_kernel_scenario_a_lattice"):
+        for name in ("cdf_scenario_a_e2e", "cdf_scenario_b", "asep_kernel_scenario_a"):
             def counted(inputs, *args, name=name, fn=getattr(cli, name)):
                 calls[name] += 1
                 entries[name] += len((inputs if isinstance(inputs, list) else [inputs])[0]
@@ -419,6 +454,18 @@ class TestMain:
         cli.main(["--config", path, "--output", str(out2),
                   "--trials", "2000", "--seed", "1"])
         assert out.read_bytes() == out2.read_bytes()
+
+    def test_unwritable_output_is_usage_error_before_the_sweep(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def run_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output was opened")
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        path = _write(tmp_path, SMALL)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["--config", path, "--output", str(tmp_path / "missing" / "x.csv")])
+        assert err.value.code == 2
+        assert "cannot write output: " in capsys.readouterr().err
 
     def test_mutually_exclusive_modes(self, tmp_path):
         path = _write(tmp_path, SMALL)

@@ -151,6 +151,15 @@ class TestErrors:
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config(BASE + "\n[plotting]\ncolor = red\n")
 
+    @pytest.mark.parametrize("header", ["[sweep.]", "[sweep. x ]", "[sweep.a b]"])
+    def test_malformed_sweep_name_reports_its_header(self, header):
+        # a named sweep needs a name, and one without whitespace
+        text = BASE + f"\n{header}\naxis = secondary_snr_db\nstart_db = 0.0\n" \
+                      "stop_db = 5.0\nstep_db = 1.0\noutage_thresholds = 0.05\n"
+        with pytest.raises(ConfigError, match="malformed sweep section") as err:
+            parse_config(text)
+        assert err.value.line == self._line_of(text, header)
+
     def test_unknown_link(self):
         with pytest.raises(ConfigError, match="unknown link"):
             parse_config(BASE + "\n[links.nonesuch]\nm = 1\nmean_gain = 1.0\n")

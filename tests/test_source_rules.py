@@ -114,3 +114,13 @@ def test_documented_slice_size_matches_the_engine():
     readme = (Path(cogrelay.__file__).parents[2] / "README.md").read_text()
     sizes = re.findall(r"slices of\s+at most 2\^(\d+) trials", readme)
     assert sizes and all(1 << int(size) == montecarlo._SLICE for size in sizes), sizes
+
+
+def test_readme_usage_block_runs():
+    # the README's library example is run as written, so it cannot name a
+    # function the package no longer has
+    readme = (Path(cogrelay.__file__).parents[2] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
