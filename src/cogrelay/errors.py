@@ -21,10 +21,6 @@ class Infeasible(CogrelayError):
     power."""
 
 
-class NonConvergence(CogrelayError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class ConfigError(CogrelayError):
     """Malformed configuration file.  Carries the offending line number
     when known."""

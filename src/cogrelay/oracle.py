@@ -1,228 +1,181 @@
-"""Independent brute-force validators for the closed forms.
+"""Independent validators for the closed forms, on fixed Gauss rules.
 
-Everything here evaluates the underlying expectation integrals directly
-with adaptive quadrature over the Gamma densities (scipy's regularized
-incomplete gamma for the cdf and survival).  The outage oracles share no
-code with the closed forms.  ``asep_oracle`` is the exception: by default
-its inner cdf is the closed-form ``cdf_scenario_a``, so it checks the
-kernel integration only; ``use_oracle_cdf=True`` swaps in the quadrature
-cdf.  These routines exist for tests and acceptance runs; speed is not a
-goal.
+Each oracle evaluates its defining expectation over the Gamma-distributed
+gains directly, as a tensor contraction over one fixed rule per gain, with
+the signal gains X and W kept as scipy's regularized incomplete gamma
+survivals.  The rule for E[h(G)], G ~ Gamma(m, rate b), is generalized
+Gauss-Laguerre (Golub & Welsch, Math. Comp. 23, 1969) at rate b + c,
+where c is the exponential rate of the survival factor that h carries:
+it is exact when h(t) e^{ct} is a polynomial of degree below twice the
+node count, which every integer-order survival Q(m, c(t + k)) is.
+
+The outage oracles share no code with the closed forms.  ``asep_oracle``
+is the exception: by default its inner cdf is the closed-form
+``cdf_scenario_a``, so it checks the kernel integration only;
+``use_oracle_cdf=True`` swaps in the oracle cdf.  These routines exist for
+tests and the self-check.  For Scenario (a) they evaluate the closed
+forms' products of expectations, not the joint bounded-SINR laws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 
-from scipy.integrate import quad
-from scipy.special import gammainc, gammaincc
+import numpy as np
+from scipy.special import gammainc, gammaincc, roots_genlaguerre, roots_legendre
 
-from .errors import NonConvergence
 from .model import ModulationSpec
 from .analytic import PrimaryOutageInputs, SecondaryCdfInputs, cdf_scenario_a
 
 __all__ = [
-    "QuadratureSpec",
     "primary_outage_oracle",
     "relay_phase_outage_oracle",
     "cdf_oracle_scenario_a",
+    "survival_side_oracle",
     "cdf_oracle_scenario_a_e2e",
     "asep_oracle",
     "selection_oracle",
 ]
 
+_NODES = 48  # Gauss-Laguerre nodes per gain
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    relative_tolerance: float = 1e-9
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (0.0 < self.relative_tolerance <= 1e-3):
-            raise ValueError("relative_tolerance must lie in (0, 1e-3]")
+# The kernel average's rule in u = sqrt(g): Gauss-Legendre on the panels
+# [u_top 4^-k-1, u_top 4^-k], k < _PANELS - 1, and [0, u_top 4^(1-_PANELS)],
+# where b u_top^2 = _KERNEL_TOP puts e^{-b u^2} far below double precision.
+_PANELS, _PANEL_NODES, _PANEL_RATIO, _KERNEL_TOP = 20, 20, 4.0, 100.0
 
 
-def _quad(f, lo, hi, spec: QuadratureSpec) -> float:
-    val, err, info, *rest = quad(
-        f, lo, hi,
-        epsabs=spec.relative_tolerance * 1e-3,
-        epsrel=spec.relative_tolerance,
-        limit=spec.max_subdivisions,
-        full_output=True,
-    )
-    if rest:  # quad appends a message (and possibly more) on failure
-        raise NonConvergence(f"quadrature did not converge: {rest[0]}")
-    return val
+def _gamma_rule(m: int, rate: float, tilt):
+    """Nodes t and weights w with sum(w h(t)) = E[h(G)], G ~ Gamma(m, rate),
+    exact when h(t) e^{tilt t} is a polynomial of degree < 2 _NODES.  The
+    nodes lie along a last axis after the axes of an array ``tilt``."""
+    x, wt = roots_genlaguerre(_NODES, m - 1)
+    s = rate + np.asarray(tilt, dtype=float)[..., None]
+    t = x / s
+    return t, wt * np.exp(m * np.log(rate / s) + (s - rate) * t - math.lgamma(m))
 
 
-def _gamma_pdf(t, m, mean):
-    rate = m / mean
-    return math.exp(m * math.log(rate) + (m - 1) * math.log(t) - rate * t
-                    - math.lgamma(m))
+def _nonnegative(theta):
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < 0.0):
+        raise ValueError("theta must be nonnegative")
+    return theta
 
 
-def _gamma_sf(m, mean, t):
-    """Pr{G > t} for G ~ Gamma(shape m, mean ``mean``)."""
-    return gammaincc(m, m * t / mean)
-
-
-def _gamma_cdf(m, mean, t):
-    return gammainc(m, m * t / mean)
-
-
-def primary_outage_oracle(inputs: PrimaryOutageInputs,
-                          spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """2-D quadrature of E_{F,G}[F_E(theta/gp * (gs1 F + gs2 G + 1))]."""
-    th, gp = inputs.threshold, inputs.gamma_bar_p
-    s1, s2 = inputs.gamma_bar_s1, inputs.gamma_bar_s2
-    e, f, g = inputs.e, inputs.f, inputs.g
-
-    def inner(fv):
-        def h(gv):
-            t = th / gp * (s1 * fv + s2 * gv + 1.0)
-            return (1.0 - _gamma_sf(e.m, e.mean_gain, t)) * _gamma_pdf(gv, g.m, g.mean_gain)
-        return _quad(h, 0.0, math.inf, spec) * _gamma_pdf(fv, f.m, f.mean_gain)
-
-    return _quad(inner, 0.0, math.inf, spec)
-
-
-def relay_phase_outage_oracle(inputs: PrimaryOutageInputs,
-                              spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """1-D quadrature of E_L[F_E(theta/gp * (gr L + 1))]."""
-    th, gp, gr = inputs.threshold, inputs.gamma_bar_p, inputs.gamma_bar_r
-    e, l = inputs.e, inputs.l
-
-    def h(lv):
-        t = th / gp * (gr * lv + 1.0)
-        return (1.0 - _gamma_sf(e.m, e.mean_gain, t)) * _gamma_pdf(lv, l.m, l.mean_gain)
-
-    return _quad(h, 0.0, math.inf, spec)
-
-
-def _scaled_means(inp: SecondaryCdfInputs):
-    """Means of the normalized interference variables Y, Z, V."""
+def _interference_rates(inp: SecondaryCdfInputs):
+    """Gamma rates of the normalized interference variables Y, Z and V
+    (None for a link Scenario (b) lacks)."""
     gp, gs, gr = inp.gamma_bar_p, inp.gamma_bar_s, inp.gamma_bar_r
-    mean_y = gr * gp / gs * inp.y.mean_gain
-    mean_z = gp * inp.z.mean_gain
-    mean_v = gp * inp.v.mean_gain
-    return mean_y, mean_z, mean_v
+    return (inp.y.rate * gs / (gr * gp),
+            *(None if link is None else link.rate / gp for link in (inp.z, inp.v)))
 
 
-def cdf_oracle_scenario_a(inputs: SecondaryCdfInputs, theta: float,
-                          spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Quadrature of 1 - chi1 * chi2 from the defining expectations."""
-    if theta == 0.0:
+def primary_outage_oracle(inputs: PrimaryOutageInputs) -> float:
+    """E_{F,G}[F_E(theta/gp * (gs1 F + gs2 G + 1))], a 2-D rule over (F, G)."""
+    e, s1, s2 = inputs.e, inputs.gamma_bar_s1, inputs.gamma_bar_s2
+    c = e.rate * inputs.threshold / inputs.gamma_bar_p
+    f, wf = _gamma_rule(inputs.f.m, inputs.f.rate, c * s1)
+    g, wg = _gamma_rule(inputs.g.m, inputs.g.rate, c * s2)
+    return float(1.0 - wf @ gammaincc(e.m, c * (s1 * f[:, None] + s2 * g + 1.0)) @ wg)
+
+
+def relay_phase_outage_oracle(inputs: PrimaryOutageInputs) -> float:
+    """E_L[F_E(theta/gp * (gr L + 1))], a 1-D rule over L."""
+    e, gr = inputs.e, inputs.gamma_bar_r
+    c = e.rate * inputs.threshold / inputs.gamma_bar_p
+    l, wl = _gamma_rule(inputs.l.m, inputs.l.rate, c * gr)
+    return float(1.0 - wl @ gammaincc(e.m, c * (gr * l + 1.0)))
+
+
+def cdf_oracle_scenario_a(inputs: SecondaryCdfInputs, theta):
+    """1 - chi1 * chi2 from the defining expectations, at a float ``theta``
+    or elementwise over an array: chi1 = E_{Y,Z}[Q_X((Z + Y + beta + 1)
+    theta/gr)] is a 2-D rule over (Y, Z), chi2 = E_Z[Q_W((Z + 1) theta/gr)]
+    a 1-D rule over Z."""
+    theta = _nonnegative(theta)
+    gr = inputs.gamma_bar_r
+    beta = gr / inputs.gamma_bar_s
+    by, bz, _ = _interference_rates(inputs)
+    cx, cw = inputs.x.rate * theta / gr, inputs.w.rate * theta / gr
+    y, wy = _gamma_rule(inputs.y.m, by, cx)
+    z, wz = _gamma_rule(inputs.z.m, bz, cx)
+    qx = gammaincc(inputs.x.m, cx[..., None, None] * (y[..., :, None] + z[..., None, :] + beta + 1.0))
+    chi1 = np.einsum("...i,...ij,...j->...", wy, qx, wz)
+    z, wz = _gamma_rule(inputs.z.m, bz, cw)
+    chi2 = np.sum(wz * gammaincc(inputs.w.m, cw[..., None] * (z + 1.0)), axis=-1)
+    cdf = np.where(theta > 0.0, 1.0 - chi1 * chi2, 0.0)
+    return float(cdf) if cdf.ndim == 0 else cdf
+
+
+def survival_side_oracle(inputs: SecondaryCdfInputs, theta: float) -> float:
+    """E[Pr{X > max(Z + Y + beta + 1, V + 1) theta / gr}], one directional
+    factor of the end-to-end survival product, split at V = L with
+    L = Z + Y + beta: the head Q_X(L + 1) Pr{V <= L} plus the tail
+    E[Q_X(V + 1); V > L], a rule in u = V - L at rate bv + cx, both under a
+    2-D rule over (Y, Z)."""
+    theta = float(_nonnegative(theta))
+    gr = inputs.gamma_bar_r
+    beta = gr / inputs.gamma_bar_s
+    mx, mv = inputs.x.m, inputs.v.m
+    by, bz, bv = _interference_rates(inputs)
+    cx = inputs.x.rate * theta / gr
+    y, wy = _gamma_rule(inputs.y.m, by, cx)
+    z, wz = _gamma_rule(inputs.z.m, bz, cx)
+    lv = y[:, None] + z + beta
+    head = gammaincc(mx, cx * (lv + 1.0)) * gammainc(mv, bv * lv)
+    # f_V(L + u) = e^{-bv u} bv (bv (L + u))^{mv-1} e^{-bv L} / (mv-1)!, an
+    # exponential density in u times the factor the rule's h carries
+    u, wu = _gamma_rule(1, bv, cx)
+    v = lv[..., None] + u
+    density = np.exp((mv - 1) * np.log(bv * v) - bv * lv[..., None] - math.lgamma(mv))
+    tail = (density * gammaincc(mx, cx * (v + 1.0))) @ wu
+    return float(wy @ (head + tail) @ wz)
+
+
+def cdf_oracle_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float) -> float:
+    """1 - product of the two directional survival factors (the same
+    independence approximation as the closed form)."""
+    if _nonnegative(theta) == 0.0:
         return 0.0
-    gr, gs = inputs.gamma_bar_r, inputs.gamma_bar_s
-    beta = gr / gs
-    mean_y, mean_z, _ = _scaled_means(inputs)
-    x, w, y, z = inputs.x, inputs.w, inputs.y, inputs.z
-
-    def chi1_inner(zv):
-        def h(yv):
-            t = (zv + yv + beta + 1.0) * theta / gr
-            return _gamma_sf(x.m, x.mean_gain, t) * _gamma_pdf(yv, y.m, mean_y)
-        return _quad(h, 0.0, math.inf, spec) * _gamma_pdf(zv, z.m, mean_z)
-
-    chi1 = _quad(chi1_inner, 0.0, math.inf, spec)
-
-    def chi2_int(zv):
-        t = (zv + 1.0) * theta / gr
-        return _gamma_sf(w.m, w.mean_gain, t) * _gamma_pdf(zv, z.m, mean_z)
-
-    chi2 = _quad(chi2_int, 0.0, math.inf, spec)
-    return 1.0 - chi1 * chi2
-
-
-def survival_side_oracle(inputs: SecondaryCdfInputs, theta: float,
-                         spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Quadrature of E[Pr{X > max(Z + Y + beta + 1, V + 1) theta / gr}],
-    one directional factor of the end-to-end survival product."""
-    gr, gs = inputs.gamma_bar_r, inputs.gamma_bar_s
-    beta = gr / gs
-    mean_y, mean_z, mean_v = _scaled_means(inputs)
-    x, y, z, v = inputs.x, inputs.y, inputs.z, inputs.v
-    inner_spec = QuadratureSpec(max(spec.relative_tolerance, 1e-10),
-                                spec.max_subdivisions)
-
-    def tail(u):
-        # int_u^inf Pr{X > (vv+1) theta/gr} f_V(vv) dvv
-        def h(vv):
-            t = (vv + 1.0) * theta / gr
-            return _gamma_sf(x.m, x.mean_gain, t) * _gamma_pdf(vv, v.m, mean_v)
-        return _quad(h, u, math.inf, inner_spec)
-
-    def outer(zv):
-        def h(yv):
-            u = zv + yv + beta
-            t = (u + 1.0) * theta / gr
-            part = (_gamma_sf(x.m, x.mean_gain, t) * _gamma_cdf(v.m, mean_v, u)
-                    + tail(u))
-            return part * _gamma_pdf(yv, y.m, mean_y)
-        return _quad(h, 0.0, math.inf, inner_spec) * _gamma_pdf(zv, z.m, mean_z)
-
-    return _quad(outer, 0.0, math.inf, inner_spec)
-
-
-def cdf_oracle_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float,
-                              spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """1 - product of the two directional survival factors (same
-    independence approximation as the closed form, evaluated by
-    quadrature)."""
-    if theta == 0.0:
-        return 0.0
-    return 1.0 - (survival_side_oracle(inputs, theta, spec)
-                  * survival_side_oracle(inputs.swapped(), theta, spec))
+    return 1.0 - (survival_side_oracle(inputs, theta)
+                  * survival_side_oracle(inputs.swapped(), theta))
 
 
 def asep_oracle(inputs: SecondaryCdfInputs, mod: ModulationSpec,
-                spec: QuadratureSpec = QuadratureSpec(),
                 use_oracle_cdf: bool = False) -> float:
-    """Quadrature of the kernel average
-    a*sqrt(b)/(2 sqrt(pi)) int_0^inf e^{-b g} g^{-1/2} F(g) dg with the
-    substitution g = u^2.  ``use_oracle_cdf`` selects the quadrature cdf
-    instead of the closed form for the inner F."""
+    """The kernel average a*sqrt(b)/(2 sqrt(pi)) int_0^inf e^{-b g} g^{-1/2}
+    F(g) dg = a sqrt(b/pi) int_0^inf e^{-b u^2} F(u^2) du by composite
+    Gauss-Legendre on geometric panels in u.  ``use_oracle_cdf`` selects
+    the oracle cdf instead of the closed form for the inner F."""
     a, b = mod.a, mod.b
-    if use_oracle_cdf:
-        inner_spec = QuadratureSpec(1e-8, spec.max_subdivisions)
-
-        def F(g):
-            return cdf_oracle_scenario_a(inputs, g, inner_spec)
-    else:
-        def F(g):
-            return cdf_scenario_a(inputs, g)
-
-    def h(u):
-        return math.exp(-b * u * u) * F(u * u)
-
-    val = _quad(h, 0.0, math.inf, spec)
-    return a * math.sqrt(b) / math.sqrt(math.pi) * val
+    x, w = roots_legendre(_PANEL_NODES)
+    edges = math.sqrt(_KERNEL_TOP / b) * _PANEL_RATIO ** np.arange(-_PANELS, 1.0)
+    edges[0] = 0.0
+    half = np.diff(edges)[:, None] / 2.0
+    u = half * x + (edges[:-1, None] + half)
+    cdf = (partial(cdf_oracle_scenario_a, inputs) if use_oracle_cdf
+           else np.vectorize(partial(cdf_scenario_a, inputs)))
+    F = cdf(u * u)
+    return a * math.sqrt(b / math.pi) * float(np.sum(half * w * np.exp(-b * u * u) * F))
 
 
 def selection_oracle(per_relay_inputs: list[SecondaryCdfInputs], K: int,
-                     theta: float,
-                     spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Best-relay outage by quadrature: per-relay pair cdf over the Y
-    density, multiplied across independent relays."""
+                     theta: float) -> float:
+    """Best-relay outage: per relay, the pair survival E_Y[Q_X Q_W] with
+    both survivals at (Y + beta + 1) theta / gr is a 1-D rule over Y at
+    rate by + cx + cw; the relays are independent, so their cdfs multiply."""
     if K > 4:
         raise ValueError("oracle is limited to K <= 4")
     if len(per_relay_inputs) != K:
         raise ValueError("need one input set per relay")
-    if theta == 0.0:
+    if _nonnegative(theta) == 0.0:
         return 0.0
     prod = 1.0
     for inp in per_relay_inputs:
-        gr, gs = inp.gamma_bar_r, inp.gamma_bar_s
-        beta = gr / gs
-        mean_y = gr * inp.gamma_bar_p / gs * inp.y.mean_gain
-        x, w, y = inp.x, inp.w, inp.y
-
-        def h(yv):
-            t = (yv + beta + 1.0) * theta / gr
-            return (_gamma_sf(x.m, x.mean_gain, t)
-                    * _gamma_sf(w.m, w.mean_gain, t)
-                    * _gamma_pdf(yv, y.m, mean_y))
-
-        prod *= 1.0 - _quad(h, 0.0, math.inf, spec)
+        gr = inp.gamma_bar_r
+        cx, cw = inp.x.rate * theta / gr, inp.w.rate * theta / gr
+        y, wy = _gamma_rule(inp.y.m, _interference_rates(inp)[0], cx + cw)
+        s = y + gr / inp.gamma_bar_s + 1.0
+        prod *= 1.0 - float(wy @ (gammaincc(inp.x.m, cx * s) * gammaincc(inp.w.m, cw * s)))
     return prod

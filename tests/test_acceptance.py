@@ -189,8 +189,7 @@ def test_criterion_4_best_relay_selection():
         worst_dev = max(worst_dev, abs(est.value - closed) / sigma)
     collapse = abs(
         cdf_scenario_b(all_inputs[:1], 1, theta)
-        - oracle.selection_oracle(all_inputs[:1], 1, theta,
-                                  oracle.QuadratureSpec(1e-12)))
+        - oracle.selection_oracle(all_inputs[:1], 1, theta))
     mono_ok = all(
         cdf_scenario_b(all_inputs[:1], 1, t)
         >= cdf_scenario_b(all_inputs[:2], 2, t)

@@ -421,8 +421,7 @@ class TestDirectionCdf:
 
 class TestEndToEndCdf:
     def test_matches_quadrature(self):
-        ref = oracle.cdf_oracle_scenario_a_e2e(SEC, 1.3,
-                                               oracle.QuadratureSpec(1e-7))
+        ref = oracle.cdf_oracle_scenario_a_e2e(SEC, 1.3)
         assert cdf_scenario_a_e2e(SEC, 1.3) == pytest.approx(ref, rel=1e-6)
 
     def test_dominates_single_direction(self):
@@ -442,7 +441,7 @@ class TestEndToEndCdf:
         inp = SecondaryCdfInputs(
             x=L(6, 0.7), w=L(5, 1.1), y=L(4, 0.9), z=L(3, 0.05), v=L(2, 0.04),
             gamma_bar_p=10.0, gamma_bar_s=8.0, gamma_bar_r=12.0)
-        ref = oracle.survival_side_oracle(inp, theta, oracle.QuadratureSpec(1e-9))
+        ref = oracle.survival_side_oracle(inp, theta)
         assert analytic._survival_side(inp, theta) == pytest.approx(ref, rel=1e-8)
 
 
@@ -468,7 +467,7 @@ class TestSelectionCdf:
 
     def test_k1_collapse(self):
         inputs = _relay_inputs(1, seed=9)
-        ref = oracle.selection_oracle(inputs, 1, 1.5, oracle.QuadratureSpec(1e-12))
+        ref = oracle.selection_oracle(inputs, 1, 1.5)
         assert cdf_scenario_b(inputs, 1, 1.5) == pytest.approx(ref, rel=1e-10)
 
     def test_more_relays_never_hurt(self):
@@ -624,11 +623,10 @@ class TestAsepCancellation:
             assert asep_scenario_a(inp, self.MOD).used_fallback
 
     def test_kernel_quadrature_matches_tight_oracle(self):
-        tight = oracle.QuadratureSpec(1e-12, 400)
         high = next(inp for r, inp in _high_m_rows("top")
                     if r.x_db == 40.0 and r.threshold == 0.01)
         for inp in (SEC, _sec(x=L(2, 1.0), w=L(2, 1.0)), high):
-            ref = oracle.asep_oracle(inp, self.MOD, tight)
+            ref = oracle.asep_oracle(inp, self.MOD)
             assert asep_kernel_scenario_a(inp, self.MOD) == pytest.approx(ref, rel=1e-12)
 
 

@@ -1,14 +1,16 @@
-"""Quadrature validators: boundary behavior, self-consistency, and
-agreement with Monte Carlo."""
+"""Quadrature validators: boundary behavior, agreement with adaptive
+quadrature of their definitions, and agreement with Monte Carlo."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import gammainc, gammaincc
 
 import cogrelay.montecarlo as mc
 from cogrelay.model import FadingLink as L, PowerProfile, mpsk_constants
-from cogrelay.analytic import PrimaryOutageInputs, SecondaryCdfInputs
+from cogrelay.analytic import PrimaryOutageInputs, SecondaryCdfInputs, cdf_scenario_a
 from cogrelay import oracle
 from tests.test_montecarlo import scenario_a
 
@@ -20,14 +22,6 @@ PRIM = PrimaryOutageInputs(
 SEC = SecondaryCdfInputs(
     x=L(2, 1.1), w=L(1, 0.9), y=L(2, 0.8), z=L(1, 0.3), v=L(2, 0.25),
     gamma_bar_p=8.0, gamma_bar_s=6.0, gamma_bar_r=9.0)
-
-
-class TestQuadratureSpec:
-    def test_tolerance_bounds(self):
-        with pytest.raises(ValueError):
-            oracle.QuadratureSpec(relative_tolerance=0.0)
-        with pytest.raises(ValueError):
-            oracle.QuadratureSpec(relative_tolerance=0.1)
 
 
 class TestBoundaries:
@@ -43,17 +37,117 @@ class TestBoundaries:
             threshold=0.0)
         assert oracle.primary_outage_oracle(inp) == pytest.approx(0.0, abs=1e-12)
 
+    def test_negative_theta_is_rejected(self):
+        # as in the closed forms: a negative theta would tilt the rules by a
+        # negative rate and return a wrong number without an error
+        for call in (lambda t: oracle.cdf_oracle_scenario_a(SEC, t),
+                     lambda t: oracle.cdf_oracle_scenario_a(SEC, np.array([1.0, t])),
+                     lambda t: oracle.survival_side_oracle(SEC, t),
+                     lambda t: oracle.cdf_oracle_scenario_a_e2e(SEC, t),
+                     lambda t: oracle.selection_oracle([SEC], 1, t)):
+            with pytest.raises(ValueError, match="theta must be nonnegative"):
+                call(-0.5)
 
-class TestSelfConsistency:
-    def test_halving_tolerance_is_stable(self):
-        loose = oracle.cdf_oracle_scenario_a(SEC, 1.3, oracle.QuadratureSpec(1e-8))
-        tight = oracle.cdf_oracle_scenario_a(SEC, 1.3, oracle.QuadratureSpec(5e-9))
-        assert abs(loose - tight) < 1e-8
 
-    def test_primary_self_consistency(self):
-        loose = oracle.primary_outage_oracle(PRIM, oracle.QuadratureSpec(1e-8))
-        tight = oracle.primary_outage_oracle(PRIM, oracle.QuadratureSpec(5e-9))
-        assert abs(loose - tight) < 1e-8
+# Adaptive references: the oracles' definitions by scipy's quad, nested
+# over the gains, kept here so that the fixed rules answer to them.
+
+def _quad(f, lo=0.0, hi=math.inf):
+    return integrate.quad(f, lo, hi, epsabs=1e-15, epsrel=1e-12, limit=200)[0]
+
+
+def _pdf(link, t, scale=1.0):
+    """Density at t of scale * |h|^2 for a link's Gamma gain |h|^2."""
+    rate = link.rate / scale
+    return math.exp(link.m * math.log(rate) + (link.m - 1) * math.log(t) - rate * t
+                    - math.lgamma(link.m))
+
+
+def _sf(link, t):
+    return gammaincc(link.m, link.rate * t)
+
+
+def _primary_ref(p):
+    k = p.threshold / p.gamma_bar_p
+    return _quad(lambda f: _pdf(p.f, f) * _quad(
+        lambda g: _pdf(p.g, g) * (1.0 - _sf(p.e, k * (p.gamma_bar_s1 * f + p.gamma_bar_s2 * g + 1.0)))))
+
+
+def _relay_ref(p):
+    k = p.threshold / p.gamma_bar_p
+    return _quad(lambda l: _pdf(p.l, l) * (1.0 - _sf(p.e, k * (p.gamma_bar_r * l + 1.0))))
+
+
+def _scales(s):
+    """beta and the scales of the normalized interference Y, Z and V."""
+    gp, gs, gr = s.gamma_bar_p, s.gamma_bar_s, s.gamma_bar_r
+    return gr / gs, gr * gp / gs, gp, gp
+
+
+def _cdf_ref(s, theta):
+    beta, sy, sz, _ = _scales(s)
+    k = theta / s.gamma_bar_r
+    chi1 = _quad(lambda z: _pdf(s.z, z, sz) * _quad(
+        lambda y: _pdf(s.y, y, sy) * _sf(s.x, k * (z + y + beta + 1.0))))
+    chi2 = _quad(lambda z: _pdf(s.z, z, sz) * _sf(s.w, k * (z + 1.0)))
+    return 1.0 - chi1 * chi2
+
+
+def _side_ref(s, theta):
+    # Pr{X > (M + 1) theta/gr} with M = max(L, V), L = Y + Z + beta, as the
+    # integral of the X density at (t + 1) theta/gr against Pr{L <= t} Pr{V <= t}
+    beta, sy, sz, sv = _scales(s)
+    k = theta / s.gamma_bar_r
+
+    def l_cdf(t):
+        return _quad(lambda y: _pdf(s.y, y, sy) * gammainc(s.z.m, s.z.rate / sz * (t - beta - y)),
+                     0.0, t - beta)
+
+    return _quad(lambda t: k * _pdf(s.x, k * (t + 1.0)) * gammainc(s.v.m, s.v.rate / sv * t)
+                 * l_cdf(t), beta)
+
+
+def _selection_ref(inputs, theta):
+    prod = 1.0
+    for s in inputs:
+        beta, sy, _, _ = _scales(s)
+        k = theta / s.gamma_bar_r
+        prod *= 1.0 - _quad(lambda y: _pdf(s.y, y, sy) * _sf(s.x, k * (y + beta + 1.0))
+                            * _sf(s.w, k * (y + beta + 1.0)))
+    return prod
+
+
+def _asep_ref(s, mod):
+    return mod.a * math.sqrt(mod.b / math.pi) * _quad(
+        lambda u: math.exp(-mod.b * u * u) * cdf_scenario_a(s, u * u))
+
+
+def test_fixed_rules_match_adaptive_quadrature():
+    # each oracle against its definition by nested adaptive quadrature, at
+    # shapes up to m = 6 and on the shared test inputs
+    prim = PrimaryOutageInputs(
+        e=L(4, 1.0), f=L(5, 0.8), g=L(4, 1.2), l=L(6, 0.9),
+        gamma_bar_p=10.0, gamma_bar_s1=4.0, gamma_bar_s2=6.0,
+        gamma_bar_r=5.0, threshold=1.0)
+    high = SecondaryCdfInputs(
+        x=L(6, 0.7), w=L(5, 1.1), y=L(4, 0.9), z=L(3, 0.05), v=L(4, 0.04),
+        gamma_bar_p=10.0, gamma_bar_s=8.0, gamma_bar_r=12.0)
+    mod = mpsk_constants(4)
+    pairs = {}
+    for name, p in (("PRIM", PRIM), ("high", prim)):
+        pairs[f"primary {name}"] = oracle.primary_outage_oracle(p), _primary_ref(p)
+        pairs[f"relay {name}"] = oracle.relay_phase_outage_oracle(p), _relay_ref(p)
+    for name, s in (("SEC", SEC), ("high", high)):
+        pairs[f"cdf {name}"] = oracle.cdf_oracle_scenario_a(s, 1.3), _cdf_ref(s, 1.3)
+        sides = [_side_ref(s, 1.3), _side_ref(s.swapped(), 1.3)]
+        pairs[f"side {name}"] = oracle.survival_side_oracle(s, 1.3), sides[0]
+        pairs[f"e2e {name}"] = (oracle.cdf_oracle_scenario_a_e2e(s, 1.3),
+                                1.0 - sides[0] * sides[1])
+        pairs[f"selection {name}"] = (oracle.selection_oracle([s, SEC], 2, 1.3),
+                                      _selection_ref([s, SEC], 1.3))
+        pairs[f"asep {name}"] = oracle.asep_oracle(s, mod), _asep_ref(s, mod)
+    worst = {name: abs(value - ref) / ref for name, (value, ref) in pairs.items()}
+    assert max(worst.values()) <= 1e-12, worst
 
 
 class TestSelection:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import cogrelay
-from cogrelay import analytic, cli, config, montecarlo
+from cogrelay import analytic, cli, config, montecarlo, oracle
 
 SOURCES = sorted(Path(cogrelay.__file__).parent.glob("*.py"))
 
@@ -41,12 +41,37 @@ def _imports(path, package):
 
 
 def test_closed_forms_use_no_adaptive_quadrature():
-    # adaptive quadrature belongs to the independent oracle only; the
-    # closed forms and special functions use fixed-node rules
-    assert {path.name for path in SOURCES} >= {"analytic.py", "specfun.py"}
-    found = [hit for path in SOURCES if path.name in ("analytic.py", "specfun.py")
-             for hit in _imports(path, "scipy.integrate")]
+    # every module, the oracles included, uses fixed-node rules; adaptive
+    # quadrature serves only as a reference inside the tests
+    assert {path.name for path in SOURCES} >= {"analytic.py", "oracle.py", "specfun.py"}
+    found = [hit for path in SOURCES for hit in _imports(path, "scipy.integrate")]
     assert not found, f"scipy.integrate imported by: {', '.join(found)}"
+
+
+def _package_imports(path):
+    """(module, name) of every import from inside the package in ``path``;
+    the name is None where a whole module is imported."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("cogrelay")):
+            module = (node.module or "").removeprefix("cogrelay").lstrip(".")
+            found |= {(module, alias.name) if module else (alias.name, None)
+                      for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {(alias.name.split(".")[1], None) for alias in node.names
+                      if alias.name.startswith("cogrelay.")}
+    return found
+
+
+def test_oracles_share_no_code_with_the_closed_forms():
+    # the oracle docstring's claim: from the closed forms the oracles take
+    # only the input records and the cdf that asep_oracle integrates by
+    # default, and nothing of the special functions (no DE rule, no term engine)
+    found = _package_imports(Path(oracle.__file__))
+    assert ("analytic", "SecondaryCdfInputs") in found
+    assert {name for module, name in found if module == "analytic"} <= \
+        {"PrimaryOutageInputs", "SecondaryCdfInputs", "cdf_scenario_a"}, sorted(found)
+    assert not any(module == "specfun" for module, _ in found), sorted(found)
 
 
 def test_no_module_imports_scipy_optimize():
