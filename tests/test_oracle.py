@@ -150,6 +150,22 @@ def test_fixed_rules_match_adaptive_quadrature():
     assert max(worst.values()) <= 1e-12, worst
 
 
+class TestSelfConsistency:
+    # a rule of half the nodes must already give the default rule's value
+
+    def test_halving_tolerance_is_stable(self, monkeypatch):
+        tight = oracle.cdf_oracle_scenario_a(SEC, 1.3)
+        monkeypatch.setattr(oracle, "_NODES", oracle._NODES // 2)
+        loose = oracle.cdf_oracle_scenario_a(SEC, 1.3)
+        assert abs(loose - tight) < 1e-8
+
+    def test_primary_self_consistency(self, monkeypatch):
+        tight = oracle.primary_outage_oracle(PRIM)
+        monkeypatch.setattr(oracle, "_NODES", oracle._NODES // 2)
+        loose = oracle.primary_outage_oracle(PRIM)
+        assert abs(loose - tight) < 1e-8
+
+
 class TestSelection:
     def test_identical_relays_power_law(self):
         inp = SecondaryCdfInputs(
