@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
 from math import comb, fsum, lgamma, log
 
 import numpy as np
@@ -68,17 +67,20 @@ CLAMP_TOL = 1e-12
 # asep_kernel_scenario_a instead.
 CANCELLATION_LIMIT = 1e5
 
-# Double-exponential rule of asep_kernel_scenario_a: 201 nodes at
-# h = 1/16 (at h = 1/8 the kernel is off by 3e-10; nodes beyond
-# |u| = 6.25 see less than e^-250 of the integrand's peak).
-_KERNEL_OFFSETS, _KERNEL_WEIGHTS = de_rule(1.0 / 16.0, 100)
+# Double-exponential rule of asep_kernel_scenario_a: the 173 nodes u >= -4.5
+# (k >= -72) of de_rule(1/16, 100); at h = 1/8 the kernel is off by 3e-10.
+# In x = ln g the integrand e^{-b g} g^{1/2} chi1 chi2 is at most g^{1/2}, so
+# the 28 nodes u < -4.5 add at most 1.0e-21 sqrt(g0) (g0 the centre) to a
+# kernel of at least 2 e^{-1/2} sqrt(g0) chi1 chi2(g0), at every m and SNR,
+# and they push the engine's exp below -745, off numpy's vector path.  The
+# right tail, (mu g)^{mx+mw} e^{-mu g}, needs u up to ~5.3 at m = 8.
+_KERNEL_OFFSETS, _KERNEL_WEIGHTS = (a[100 - 72:] for a in de_rule(1.0 / 16.0, 100))
 
-# Largest temporary of asep_kernel_scenario_a, in floats: a block
-# of rows x 201 nodes x the terms of chi1 or chi2.  2**15 (256 KB) gives
-# the analytic_highm sweep (56 terms) blocks of 2 rows and example.cfg
-# (10 terms) blocks of 16.  On analytic_highm (2 vCPUs, numpy 2.4.6) the
-# rule takes ~22 ms in blocks of 2 rows and ~31 ms row by row; blocks of 8
-# take ~17 ms, but their 720 KB temporaries raise the peak RSS by 0.7 MB.
+# Largest temporary of asep_kernel_scenario_a, in floats: a block of rows x
+# 173 nodes x the terms of chi1 or chi2.  2**15 (256 KB) gives analytic_highm
+# (56 terms) blocks of 3 rows and example.cfg (10 terms) blocks of 18.  On
+# analytic_highm (2 vCPUs, numpy 2.4.6) the rule takes ~10.5 ms, ~19 ms row
+# by row and ~8.5 ms in blocks of 13, whose 1 MB temporaries raise the RSS.
 _KERNEL_FLOATS = 2 ** 15
 
 # Stands in for log 0 in the term engine: times an exponent 0 it adds 0
@@ -149,8 +151,9 @@ def _raised(lattice_result) -> float:
 
 
 def _frozen(*columns) -> tuple[np.ndarray, ...]:
-    """Read-only float arrays of ``columns``, safe to share from a cache."""
-    out = tuple(np.array(c, dtype=float) for c in columns)
+    """Read-only C-ordered float arrays of ``columns``, safe to share from a
+    cache (on an F-ordered term table the engine's matmul sums differently)."""
+    out = tuple(np.asarray(c, dtype=float, order="C") for c in columns)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -164,24 +167,26 @@ def _term_table(orders: tuple[int, ...], shapes: tuple[int, ...]) -> tuple[np.nd
     ln[C(N; j_0, j...) Gamma(m_i+j_i)... / (n_f!... Gamma(m_i)...)] with
     N = sum n_f and j_0 = N - sum j_i.  Rows run over n (first factor
     slowest), then over the j_i lexicographically; each constant is summed
-    left to right as written, the multinomial as nested binomials."""
-    rows, const = [], []
-    for ns in product(*map(range, orders)):
-        total = sum(ns)
-        for js in product(range(total + 1), repeat=len(shapes)):
-            if sum(js) > total:
-                continue
-            rest, c = total, 0.0
-            for j in js:
-                c += log(comb(rest, j))
-                rest -= j
-            for n in ns:
-                c -= lgamma(n + 1)
-            for m, j in zip(shapes, js):
-                c += lgamma(m + j)
-                c -= lgamma(m)
-            rows.append((*ns, *js, *shapes, 1))
-            const.append(c)
+    left to right as written, the multinomial as nested binomials, from
+    tables of ln C(n, j) and ln k! gathered column by column."""
+    top = sum(orders) - len(orders)
+    ns, js = (np.indices(d).reshape(len(d), math.prod(d))
+              for d in (orders, (top + 1,) * len(shapes)))
+    at, pick = np.nonzero(js.sum(axis=0) <= ns.sum(axis=0)[:, None])
+    ns, js, rest = ns[:, at], js[:, pick], ns.sum(axis=0)[at]
+    # ln C(n, j), 0 where j > n (never gathered)
+    log_comb = np.array([[log(max(comb(n, j), 1)) for j in range(top + 1)] for n in range(top + 1)])
+    log_fact = np.array([lgamma(k + 1) for k in range(max(shapes, default=0) + top + 1)])
+    const = np.zeros(at.size)
+    for j in js:
+        const += log_comb[rest, j]
+        rest -= j
+    for n in ns:
+        const -= log_fact[n]
+    for m, j in zip(shapes, js):
+        const += log_fact[m + j - 1]
+        const -= log_fact[m - 1]
+    rows = np.column_stack([ns.T, js.T, np.broadcast_to((*shapes, 1), (at.size, len(shapes) + 1))])
     return _frozen(rows, const)
 
 
@@ -399,34 +404,41 @@ class _Rates:
         self.bz = None if inp.z is None else inp.z.m / (gp * inp.z.mean_gain)
         self.bv = None if inp.v is None else inp.v.m / (gp * inp.v.mean_gain)
 
+    def __getitem__(self, rows):
+        """The rates of ``rows`` of array SNRs."""
+        part = object.__new__(_Rates)
+        part.__dict__ = {k: v if v is None else v[rows] for k, v in vars(self).items()}
+        return part
+
     def kernel_rate(self, b: float):
         """Exponential decay rate of e^{-b g} chi1(g) chi2(g) in g."""
         return b + self.qx * (self.beta + 1.0) + self.qw
 
 
-def _chi1(inp: SecondaryCdfInputs, theta):
+def _chi1(inp: SecondaryCdfInputs, theta, r: _Rates | None = None):
     """E_{Z,Y}[Pr{X > (Z + Y + beta + 1) theta / gr}], at a scalar
-    ``theta`` per row of ``inp`` or, for a row, elementwise over an array."""
-    r = _Rates(inp)
+    ``theta`` per row of ``inp`` or, for a row, elementwise over an array;
+    given rates ``r`` replace ``_Rates(inp)``, and ``inp`` gives the shapes."""
+    r = _Rates(inp) if r is None else r
     return _expected_survival([(inp.x.m, r.qx * theta)], r.beta + 1.0,
                               [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)])
 
 
-def _chi2(inp: SecondaryCdfInputs, theta):
-    """E_Z[Pr{W > (Z + 1) theta / gr}], at a scalar ``theta`` per row of
-    ``inp`` or, for a row, elementwise over an array."""
-    r = _Rates(inp)
+def _chi2(inp: SecondaryCdfInputs, theta, r: _Rates | None = None):
+    """E_Z[Pr{W > (Z + 1) theta / gr}], as ``_chi1``."""
+    r = _Rates(inp) if r is None else r
     return _expected_survival([(inp.w.m, r.qw * theta)], 1.0, [(inp.z.m, 1.0, r.bz)])
 
 
-def cdf_scenario_a(inputs: SecondaryCdfInputs, theta: float) -> float:
+def cdf_scenario_a(inputs: SecondaryCdfInputs, theta):
     """cdf at ``theta`` of the upper-bounded SINR at source 1 in
-    Scenario (a): 1 - chi1 * chi2."""
-    if theta < 0.0:
+    Scenario (a): 1 - chi1 * chi2, 0 at theta = 0; at a float ``theta``
+    or, for a row, elementwise over an array."""
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < 0.0):
         raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return 0.0
-    return _clamp_probability(1.0 - _chi1(inputs, theta) * _chi2(inputs, theta),
+    return _clamp_probability(np.where(theta == 0.0, 0.0,
+                                       1.0 - _chi1(inputs, theta) * _chi2(inputs, theta)),
                               "cdf_scenario_a")
 
 
@@ -462,7 +474,7 @@ def _survival_side(inp: SecondaryCdfInputs, theta: float):
     s = cx + r.bv
     q, upper = _side_weights(cx, r.bv, s, mx, mv)
     gains = [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)]
-    return (_chi1(inp, theta)
+    return (_chi1(inp, theta, r)
             - _expected_survival([(q, cx), (mv, r.bv)], r.beta, gains)
             + _expected_survival([(upper, s)], r.beta, gains))
 
@@ -545,21 +557,24 @@ def asep_kernel_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec):
     """ASEP of source 1 in Scenario (a) per row of ``inputs``, the value
     the sweep reports: the kernel average
     a/2 - a*sqrt(b)/(2 sqrt(pi)) int_0^inf e^{-b g} g^{-1/2} chi1 chi2 dg
-    of the direction cdf 1 - chi1 chi2, by a fixed 201-node double-exponential
-    rule in x = ln g centred on the peak g = 1/(2 mu) of g^{1/2} e^{-mu g},
-    where mu is the integrand's decay rate.  The rule's temporaries are
-    rows x 201 nodes x the terms of chi1 or chi2, so the rows go through in
-    blocks whose temporaries hold at most ``_KERNEL_FLOATS``; a row's value
-    does not depend on its block."""
+    of the direction cdf 1 - chi1 chi2, by a fixed 173-node double-exponential
+    rule in x = ln g centred on the peak g0 = 1/(2 mu) of g^{1/2} e^{-mu g},
+    where mu is the integrand's decay rate; the dropped left tail is worth
+    at most 1.0e-21 sqrt(g0) (see ``_KERNEL_OFFSETS``).  The temporaries
+    are rows x 173 nodes x the terms of chi1 or chi2, so the rows go
+    through in blocks (3 rows on analytic_highm) on slices of the rates,
+    each within ``_KERNEL_FLOATS``; a row's value does not depend on its block."""
     terms = max(len(_term_table((inputs.x.m,), (inputs.y.m, inputs.z.m))[1]),
                 len(_term_table((inputs.w.m,), (inputs.z.m,))[1]))
     rows = max(1, _KERNEL_FLOATS // (_KERNEL_OFFSETS.size * terms))
-    powers = {name: np.reshape(getattr(inputs, name), (-1, 1)) for name in _POWERS}
-    kernel = np.empty(len(powers["gamma_bar_p"]))
+    rates = _Rates(replace(inputs, **{name: np.reshape(getattr(inputs, name), (-1, 1))
+                                      for name in _POWERS}))
+    log_peak = np.log(0.5 / rates.kernel_rate(mod.b))
+    kernel = np.empty(len(log_peak))
     for start in range(0, len(kernel), rows):
-        block = replace(inputs, **{name: p[start:start + rows] for name, p in powers.items()})
-        g = np.exp(np.log(0.5 / _Rates(block).kernel_rate(mod.b)) + _KERNEL_OFFSETS)
-        f = np.exp(-mod.b * g) * np.sqrt(g) * _chi1(block, g) * _chi2(block, g)
+        r = rates[start:start + rows]
+        g = np.exp(log_peak[start:start + rows] + _KERNEL_OFFSETS)
+        f = np.exp(-mod.b * g) * np.sqrt(g) * _chi1(inputs, g, r) * _chi2(inputs, g, r)
         kernel[start:start + rows] = (_KERNEL_WEIGHTS * f).sum(axis=-1)
     return _asep_value(kernel.reshape(np.shape(inputs.gamma_bar_p)), mod,
                        "asep_kernel_scenario_a")

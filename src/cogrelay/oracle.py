@@ -20,7 +20,6 @@ forms' products of expectations, not the joint bounded-SINR laws.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, roots_genlaguerre, roots_legendre
@@ -154,9 +153,7 @@ def asep_oracle(inputs: SecondaryCdfInputs, mod: ModulationSpec,
     edges[0] = 0.0
     half = np.diff(edges)[:, None] / 2.0
     u = half * x + (edges[:-1, None] + half)
-    cdf = (partial(cdf_oracle_scenario_a, inputs) if use_oracle_cdf
-           else np.vectorize(partial(cdf_scenario_a, inputs)))
-    F = cdf(u * u)
+    F = (cdf_oracle_scenario_a if use_oracle_cdf else cdf_scenario_a)(inputs, u * u)
     return a * math.sqrt(b / math.pi) * float(np.sum(half * w * np.exp(-b * u * u) * F))
 
 

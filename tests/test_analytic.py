@@ -5,6 +5,7 @@ import collections
 import itertools
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from cogrelay.analytic import (PrimaryOutageInputs, SecondaryCdfInputs,
                                relay_phase_outage, solve_relay_power,
                                solve_secondary_source_power)
 from cogrelay import analytic, cli, oracle
-from cogrelay.specfun import PoleSet, partial_fractions, tricomi_u
+from cogrelay.specfun import PoleSet, de_rule, partial_fractions, tricomi_u
 
 PRIM = PrimaryOutageInputs(
     e=L(2, 1.0), f=L(1, 0.8), g=L(2, 1.2), l=L(1, 0.9),
@@ -403,6 +404,18 @@ class TestDirectionCdf:
     def test_saturates(self):
         assert cdf_scenario_a(SEC, 1e4) == pytest.approx(1.0, abs=1e-6)
 
+    def test_theta_array_equals_scalar_calls(self):
+        thetas = np.array([[0.0, 0.2, 1.0], [4.0, 0.0, 1e4]])
+        grid = cdf_scenario_a(SEC, thetas)
+        assert grid.shape == thetas.shape
+        scalars = [cdf_scenario_a(SEC, t) for t in thetas.ravel().tolist()]
+        assert {type(v) for v in scalars} == {float}
+        assert _hex(grid.ravel()) == _hex(scalars)
+        assert grid[0, 0] == grid[1, 1] == 0.0
+        for theta in (-0.1, np.array([1.0, -0.1])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                cdf_scenario_a(SEC, theta)
+
     def test_monotone_in_theta(self):
         grid = np.linspace(0.0, 8.0, 50)
         vals = [cdf_scenario_a(SEC, float(t)) for t in grid]
@@ -630,6 +643,19 @@ class TestAsepCancellation:
             assert asep_kernel_scenario_a(inp, self.MOD) == pytest.approx(ref, rel=1e-12)
 
 
+def test_kernel_rule_drops_only_a_negligible_left_tail():
+    # the kernel rule is de_rule(1/16, 100) without its nodes u < -4.5; in
+    # x = ln g the integrand e^{-b g} g^{1/2} chi1 chi2 is at most g^{1/2} =
+    # sqrt(g0) e^{offset/2}, so the dropped nodes add at most this bound
+    # times sqrt(g0), whatever the survivals
+    offsets, weights = de_rule(1.0 / 16.0, 100)
+    kept = offsets >= analytic._KERNEL_OFFSETS[0]
+    assert kept.sum() == analytic._KERNEL_OFFSETS.size == 173
+    assert np.array_equal(offsets[kept], analytic._KERNEL_OFFSETS)
+    assert np.array_equal(weights[kept], analytic._KERNEL_WEIGHTS)
+    assert np.sum(weights[~kept] * np.exp(offsets[~kept] / 2.0)) <= 1e-20
+
+
 def _shaped(mx, mw, my, mz, mv=2):
     return SecondaryCdfInputs(
         x=L(mx, 0.7), w=L(mw, 1.1), y=L(my, 0.9), z=L(mz, 0.05), v=L(mv, 0.04),
@@ -642,6 +668,23 @@ def _shaped(mx, mw, my, mz, mv=2):
 SHAPE_CASES = {"analytic_highm": (6, 5, 4, 3), "example": (3, 2, 2, 1), "m8": (8, 4, 3, 2),
                "rayleigh": (1, 1, 1, 1), "mw_above_mx": (2, 3, 1, 4)}
 SHAPES = pytest.mark.parametrize("shapes", list(SHAPE_CASES.values()), ids=list(SHAPE_CASES))
+
+
+@pytest.mark.parametrize("inp", [*(_shaped(*shapes) for shapes in SHAPE_CASES.values()),
+                                 replace(_shaped(6, 5, 4, 3), z=L(3, 0.5), gamma_bar_p=1000.0)],
+                         ids=[*SHAPE_CASES, "interference_heavy"])
+def test_trimmed_kernel_rule_matches_the_full_rule(inp, monkeypatch):
+    # the kernel integral itself (not the ASEP a/2 - c kernel, which would
+    # hide its last bits) on seven rows around each input, in blocks
+    inp = replace(inp, **{name: getattr(inp, name) * np.geomspace(0.1, 10.0, 7)
+                          for name in analytic._POWERS})
+    monkeypatch.setattr(analytic, "_asep_value", lambda kernel, mod, where: kernel)
+    trimmed = asep_kernel_scenario_a(inp, mpsk_constants(4))
+    offsets, weights = de_rule(1.0 / 16.0, 100)
+    monkeypatch.setattr(analytic, "_KERNEL_OFFSETS", offsets)
+    monkeypatch.setattr(analytic, "_KERNEL_WEIGHTS", weights)
+    full = asep_kernel_scenario_a(inp, mpsk_constants(4))
+    assert (np.abs(trimmed - full) <= 4.0 * np.spacing(full)).all(), (trimmed, full)
 
 
 def _asep_terms_reference(inp, r, alphas, mu):
@@ -683,6 +726,37 @@ def test_asep_terms_bit_identical_to_per_triple_assembly(shapes):
     mu = r.kernel_rate(mpsk_constants(4).b)
     got = analytic._asep_terms(inp, r, alphas, mu)
     assert np.array_equal(got, _asep_terms_reference(inp, r, alphas, mu))
+
+
+def _term_table_reference(orders, shapes):
+    """``analytic._term_table`` as a loop over the orders and the gain
+    powers, each constant summed in the table's order."""
+    rows, const = [], []
+    for ns in itertools.product(*map(range, orders)):
+        total = sum(ns)
+        for js in itertools.product(range(total + 1), repeat=len(shapes)):
+            if sum(js) > total:
+                continue
+            rest, c = total, 0.0
+            for j in js:
+                c += math.log(math.comb(rest, j))
+                rest -= j
+            for n in ns:
+                c -= math.lgamma(n + 1)
+            for m, j in zip(shapes, js):
+                c += math.lgamma(m + j)
+                c -= math.lgamma(m)
+            rows.append((*ns, *js, *shapes, 1))
+            const.append(c)
+    return np.array(rows, dtype=float), np.array(const)
+
+
+@pytest.mark.parametrize("orders", [(8,), (6, 3), (4, 5)])
+@pytest.mark.parametrize("shapes", [(), (1,), (6,), (3, 2), (1, 4, 2), (6, 6)])
+def test_term_table_equals_the_loop(orders, shapes):
+    got, want = analytic._term_table(orders, shapes), _term_table_reference(orders, shapes)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # The six finite-sum closed forms are calls of one term engine.  Each is

@@ -93,6 +93,15 @@ def test_cached_tables_are_read_only():
     assert not any(a.flags.writeable for a in arrays), "_term_table returned a writable array"
 
 
+def test_term_tables_are_c_ordered():
+    # an F-ordered exponent table sends the engine's np.matmul down another
+    # BLAS path: it moved example.cfg's relay powers in their last bits
+    # (1.6693990421739722 -> 1.6693990421734777) and no value test saw it
+    for orders, shapes in [((3,), (2, 1)), ((2, 3), (3,)), ((6,), ()), ((4,), (1, 4, 2))]:
+        arrays = analytic._term_table(orders, shapes)
+        assert all(a.flags.c_contiguous for a in arrays), (orders, shapes)
+
+
 def test_closed_forms_have_one_summation_path():
     # the term engine's terms are positive, so numpy's pairwise sum serves
     # every shape of call and the engine takes no reduction switch; only
