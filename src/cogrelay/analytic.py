@@ -13,11 +13,14 @@ and the series weights) and each element is contracted on its own, so a
 whole sweep is one engine call.  One lattice solver, ``_solve``, finds
 every regulated power of a sweep at once, and each closed form the sweep
 reports takes one link set with float SNRs or 1-D arrays of them (one row
-each) and returns a float or an array.  The printed forms in the
-source material contain transcription slips, so every function is
-assembled directly from the underlying expectation integrals; the
-quadrature oracles in :mod:`cogrelay.oracle` and the Monte Carlo engine
-arbitrate.
+each) and returns a float or an array.  The three secondary cdfs take
+``(inputs, theta)`` and share one theta rule, ``_cdf``: theta is a float
+or an array broadcast against the rows as numpy broadcasts, the value is
+elementwise (0 where theta = 0; a float for a float and float SNRs), and
+a negative theta raises ValueError.  The printed forms in the source
+material contain transcription slips, so every function is assembled
+directly from the underlying expectation integrals; the quadrature
+oracles in :mod:`cogrelay.oracle` and the Monte Carlo engine arbitrate.
 
 Terms are put together in the log domain, so integer severities up to ~8
 and SNRs up to ~40 dB stay well inside double range.  The engine's terms
@@ -416,9 +419,9 @@ class _Rates:
 
 
 def _chi1(inp: SecondaryCdfInputs, theta, r: _Rates | None = None):
-    """E_{Z,Y}[Pr{X > (Z + Y + beta + 1) theta / gr}], at a scalar
-    ``theta`` per row of ``inp`` or, for a row, elementwise over an array;
-    given rates ``r`` replace ``_Rates(inp)``, and ``inp`` gives the shapes."""
+    """E_{Z,Y}[Pr{X > (Z + Y + beta + 1) theta / gr}], elementwise over
+    ``theta`` broadcast against the rows of ``inp``; given rates ``r``
+    replace ``_Rates(inp)``, and ``inp`` gives the shapes."""
     r = _Rates(inp) if r is None else r
     return _expected_survival([(inp.x.m, r.qx * theta)], r.beta + 1.0,
                               [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)])
@@ -430,16 +433,21 @@ def _chi2(inp: SecondaryCdfInputs, theta, r: _Rates | None = None):
     return _expected_survival([(inp.w.m, r.qw * theta)], 1.0, [(inp.z.m, 1.0, r.bz)])
 
 
-def cdf_scenario_a(inputs: SecondaryCdfInputs, theta):
-    """cdf at ``theta`` of the upper-bounded SINR at source 1 in
-    Scenario (a): 1 - chi1 * chi2, 0 at theta = 0; at a float ``theta``
-    or, for a row, elementwise over an array."""
+def _cdf(theta, cdf, where: str):
+    """The theta rule of every secondary cdf: ``cdf(theta)`` clamped to [0, 1],
+    0 where theta = 0 (``cdf`` sees 1 there, so no zero scale reaches a
+    log), a float for a float and float SNRs; a negative theta raises."""
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < 0.0):
         raise ValueError("theta must be nonnegative")
-    return _clamp_probability(np.where(theta == 0.0, 0.0,
-                                       1.0 - _chi1(inputs, theta) * _chi2(inputs, theta)),
-                              "cdf_scenario_a")
+    zero = theta == 0.0
+    return _clamp_probability(np.where(zero, 0.0, cdf(np.where(zero, 1.0, theta))), where)
+
+
+def cdf_scenario_a(inputs: SecondaryCdfInputs, theta):
+    """cdf at ``theta`` of the upper-bounded SINR at source 1 in
+    Scenario (a): 1 - chi1 * chi2."""
+    return _cdf(theta, lambda t: 1.0 - _chi1(inputs, t) * _chi2(inputs, t), "cdf_scenario_a")
 
 
 def _side_weights(cx, bv, s, mx: int, mv: int) -> tuple[np.ndarray, np.ndarray]:
@@ -455,11 +463,11 @@ def _side_weights(cx, bv, s, mx: int, mv: int) -> tuple[np.ndarray, np.ndarray]:
     return q, tails[..., np.maximum(0, np.arange(mv + mx - 1) - mv + 1)]
 
 
-def _survival_side(inp: SecondaryCdfInputs, theta: float):
+def _survival_side(inp: SecondaryCdfInputs, theta):
     """E[Q(mx, cx (max(L, V) + 1))] = Pr{X > max(Z + Y + beta + 1, V + 1)
     theta / gr} with L = beta + Z + Y and cx = qx theta, split on V <= L:
     chi1 - E[Q(mx, cx (L+1)) Q(mv, bv L)] + E[Q(mx, cx (V+1)); V > L], as
-    Pr{V > L | L} = Q(mv, bv L); per row of ``inp``.
+    Pr{V > L | L} = Q(mv, bv L); elementwise, as ``_chi1``.
 
     Both expectations are engine calls over L.  With q_n = Q(mx-n, cx),
     Q(mx, cx (L+1)) = e^{-cx L} sum_{n<mx} q_n (cx L)^n / n!, a factor at
@@ -479,30 +487,20 @@ def _survival_side(inp: SecondaryCdfInputs, theta: float):
             + _expected_survival([(upper, s)], r.beta, gains))
 
 
-def _zero(inputs: SecondaryCdfInputs):
-    """0 for each row of ``inputs``: a float for float SNRs."""
-    return np.zeros(np.shape(inputs.gamma_bar_p)) if np.ndim(inputs.gamma_bar_p) else 0.0
-
-
-def cdf_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float):
+def cdf_scenario_a_e2e(inputs: SecondaryCdfInputs, theta):
     """cdf at ``theta`` of the end-to-end upper-bounded SINR
-    min(gamma_S1, gamma_S2) in Scenario (a), per row of ``inputs``.
+    min(gamma_S1, gamma_S2) in Scenario (a).
 
     The two directional survival factors share the interference variables
     Y, Z and V, yet their product is taken as if they were independent, so
     the result is neither exact nor a bound on the end-to-end cdf (on
     example.cfg the success probability it implies is 60-3,000x below
     bounded-SINR Monte Carlo).  The S2-side factor is the S1-side
-    evaluator under the x <-> w, z <-> v swap.  A row's value does not
-    depend on the others.
+    evaluator under the x <-> w, z <-> v swap.
     """
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return _zero(inputs)
-    side1 = _survival_side(inputs, theta)
-    side2 = _survival_side(inputs.swapped(), theta)
-    return _clamp_probability(1.0 - side1 * side2, "cdf_scenario_a_e2e")
+    swapped = inputs.swapped()
+    return _cdf(theta, lambda t: 1.0 - _survival_side(inputs, t) * _survival_side(swapped, t),
+                "cdf_scenario_a_e2e")
 
 
 # ---------------------------------------------------------------------------
@@ -510,31 +508,30 @@ def cdf_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float):
 # ---------------------------------------------------------------------------
 
 def _relay_pair_survival(inp: SecondaryCdfInputs, theta):
-    """Survival at ``theta`` (a scalar per row of ``inp`` or, for a row,
-    elementwise over an array) of the per-relay pair SINR
-    gr * min(X, W) / (Y + beta + 1) (source nodes noise-limited)."""
+    """Survival at ``theta`` of the per-relay pair SINR
+    gr * min(X, W) / (Y + beta + 1) (source nodes noise-limited);
+    elementwise, as ``_chi1``."""
     r = _Rates(inp)
     return _expected_survival([(inp.x.m, r.qx * theta), (inp.w.m, r.qw * theta)],
                               r.beta + 1.0, [(inp.y.m, 1.0, r.by)])
 
 
-def cdf_scenario_b(inputs: list[SecondaryCdfInputs], K: int, theta: float):
+def cdf_scenario_b(inputs: list[SecondaryCdfInputs], theta):
     """cdf at ``theta`` of the best-relay end-to-end SINR in Scenario (b),
-    per row of the per-relay ``inputs``: the relays are independent, so the
-    max-order statistic is the product of the per-relay pair cdfs (only the
-    x, w, y links of each input are used; source nodes carry no direct
-    primary interference).  A row's value does not depend on the others."""
-    if K < 1 or len(inputs) != K:
-        raise ValueError(f"need one input set per relay, got {len(inputs)} for K={K}")
-    if theta < 0.0:
-        raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return _zero(inputs[0])
-    prod = 1.0
-    for inp in inputs:
-        prod = prod * _clamp_probability(1.0 - _relay_pair_survival(inp, theta),
-                                         "cdf_scenario_b per-relay term")
-    return _clamp_probability(prod, "cdf_scenario_b")
+    one input set per relay: the relays are independent, so the max-order
+    statistic is the product of the per-relay pair cdfs (only the x, w, y
+    links of each input are used; source nodes carry no direct primary
+    interference)."""
+    if not inputs:
+        raise ValueError("need one input set per relay, got none")
+
+    def product(t):
+        prod = 1.0
+        for inp in inputs:
+            prod = prod * _clamp_probability(1.0 - _relay_pair_survival(inp, t),
+                                             "cdf_scenario_b per-relay term")
+        return prod
+    return _cdf(theta, product, "cdf_scenario_b")
 
 
 # ---------------------------------------------------------------------------

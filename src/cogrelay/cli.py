@@ -173,7 +173,7 @@ def _closed_forms(cfg: RunConfig, K: int, rows: list[dict], mod: ModulationSpec,
     def outage(*powers):
         inputs = _secondary_inputs(scenario, *powers)
         return (cdf_scenario_a_e2e(inputs[0], theta) if scenario.scenario is Scenario.A
-                else cdf_scenario_b(inputs, K, theta))
+                else cdf_scenario_b(inputs, theta))
 
     if "analytic_oc" in filled:
         _fill(rows, "analytic_oc", outage)
@@ -204,7 +204,7 @@ def _fill(rows: list[dict], name: str, form) -> None:
 
 
 def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
-              mc_only: bool = False, mod: ModulationSpec | None = None) -> list[SweepRow]:
+              mc_only: bool = False) -> list[SweepRow]:
     """Evaluate the full (grid point x threshold x relay count) lattice in
     deterministic order.  The powers of the whole lattice are solved first
     (``_solve_powers``), then each closed-form column is evaluated over the
@@ -212,7 +212,7 @@ def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
     Monte Carlo cells of the rows without an error are estimated together,
     on one gain draw per trial slice for the largest relay count among
     them.  Each row keeps only the cells ``_filled_cells`` names."""
-    mod = mod or mpsk_constants(4)
+    mod = mpsk_constants(4)
     filled = _filled_cells(cfg.scenario_kind, analytic_only, mc_only)
     scenario = cfg.network_scenario(max(plan.relay_counts))
     on_s = plan.x_axis == "secondary_snr_db"
@@ -292,8 +292,7 @@ def run_selfcheck(out=None) -> int:
         x=L(1, 0.7), w=L(2, 1.3), y=L(1, 1.0), z=L(1, 1.0), v=L(1, 1.0),
         gamma_bar_p=10.0, gamma_bar_s=8.0, gamma_bar_r=12.0)]
     ok &= _check("best-relay selection cdf vs quadrature (K=2)",
-                 cdf_scenario_b(pair, 2, 1.5),
-                 oracle.selection_oracle(pair, 2, 1.5), 1e-5, out)
+                 cdf_scenario_b(pair, 1.5), oracle.selection_oracle(pair, 1.5), 1e-5, out)
     mod = mpsk_constants(4)
     asep_ref = oracle.asep_oracle(sec, mod)
     for how, value in (("closed form", asep_scenario_a(sec, mod).value),

@@ -157,15 +157,12 @@ def asep_oracle(inputs: SecondaryCdfInputs, mod: ModulationSpec,
     return a * math.sqrt(b / math.pi) * float(np.sum(half * w * np.exp(-b * u * u) * F))
 
 
-def selection_oracle(per_relay_inputs: list[SecondaryCdfInputs], K: int,
-                     theta: float) -> float:
+def selection_oracle(per_relay_inputs: list[SecondaryCdfInputs], theta: float) -> float:
     """Best-relay outage: per relay, the pair survival E_Y[Q_X Q_W] with
     both survivals at (Y + beta + 1) theta / gr is a 1-D rule over Y at
     rate by + cx + cw; the relays are independent, so their cdfs multiply."""
-    if K > 4:
-        raise ValueError("oracle is limited to K <= 4")
-    if len(per_relay_inputs) != K:
-        raise ValueError("need one input set per relay")
+    if not 1 <= len(per_relay_inputs) <= 4:
+        raise ValueError(f"oracle takes 1 to 4 relays, got {len(per_relay_inputs)}")
     if _nonnegative(theta) == 0.0:
         return 0.0
     prod = 1.0

@@ -143,7 +143,7 @@ def test_criterion_3_lower_bound_tightness():
             x=sc.s2_relay[k], w=sc.s1_relay[k], y=sc.pt_relay[k],
             z=L(1, 1.0), v=L(1, 1.0), gamma_bar_p=gp, gamma_bar_s=g,
             gamma_bar_r=g) for k in range(K)]
-        closed = cdf_scenario_b(inputs, K, theta)
+        closed = cdf_scenario_b(inputs, theta)
         est = mc.estimate_outage(sc, powers, theta, trials=1_000_000, seed=303,
                                  sinr_kind="exact")
         sigma = est.ci_half_width / 1.96
@@ -170,8 +170,8 @@ def test_criterion_4_best_relay_selection():
         gamma_bar_r=gr) for _ in range(3)]
     for K in (1, 2, 3):
         inputs = all_inputs[:K]
-        closed = cdf_scenario_b(inputs, K, theta)
-        ref = oracle.selection_oracle(inputs, K, theta)
+        closed = cdf_scenario_b(inputs, theta)
+        ref = oracle.selection_oracle(inputs, theta)
         worst_rel = max(worst_rel, abs(closed - ref) / ref)
         sc = NetworkScenario(
             scenario=Scenario.B, K=K,
@@ -188,12 +188,12 @@ def test_criterion_4_best_relay_selection():
         sigma = max(est.ci_half_width / 1.96, 1e-12)
         worst_dev = max(worst_dev, abs(est.value - closed) / sigma)
     collapse = abs(
-        cdf_scenario_b(all_inputs[:1], 1, theta)
-        - oracle.selection_oracle(all_inputs[:1], 1, theta))
+        cdf_scenario_b(all_inputs[:1], theta)
+        - oracle.selection_oracle(all_inputs[:1], theta))
     mono_ok = all(
-        cdf_scenario_b(all_inputs[:1], 1, t)
-        >= cdf_scenario_b(all_inputs[:2], 2, t)
-        >= cdf_scenario_b(all_inputs[:3], 3, t)
+        cdf_scenario_b(all_inputs[:1], t)
+        >= cdf_scenario_b(all_inputs[:2], t)
+        >= cdf_scenario_b(all_inputs[:3], t)
         for t in np.linspace(0.1, 6.0, 25))
     ok = (worst_rel <= 1e-5 and worst_dev <= 3.0 and collapse <= 1e-10
           and mono_ok)

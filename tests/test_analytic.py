@@ -304,6 +304,7 @@ def test_lattice_powers_are_batch_invariant(e, interferers, points, data):
 
 
 _POWERS_DB = st.tuples(st.floats(0.0, 40.0), st.floats(-10.0, 30.0), st.floats(-10.0, 30.0))
+_THETA = st.floats(0.05, 20.0)
 
 
 def _hex(values) -> list[str]:
@@ -322,14 +323,17 @@ def _outcome(call):
 @settings(max_examples=30, deadline=None)
 @given(links=st.tuples(*[_LINK] * 5), relays=st.lists(st.tuples(*[_LINK] * 3), min_size=1,
                                                       max_size=3),
-       rows=st.lists(_POWERS_DB, min_size=1, max_size=10), theta=st.floats(0.05, 20.0),
-       data=st.data())
-def test_closed_forms_are_batch_invariant(links, relays, rows, theta, data):
+       rows=st.lists(_POWERS_DB, min_size=1, max_size=10), data=st.data())
+def test_closed_forms_are_batch_invariant(links, relays, rows, data):
     # the three closed forms the sweep reports give each row of an array
     # call, of a shuffled subset and of its one-row call the value of its
     # float-SNR call, bit for bit; a call raises exactly when one of its
-    # rows fails alone, and then the error of such a row
+    # rows fails alone, and then the error of such a row.  Theta is a
+    # float or one value per row, taken by the rows like their SNRs
     powers = [10.0 ** (np.array(c) / 10.0) for c in zip(*rows)]
+    theta = data.draw(st.one_of(_THETA, st.lists(_THETA, min_size=len(rows),
+                                                 max_size=len(rows)).map(np.array)))
+    theta_at = (lambda idx: theta[idx]) if np.ndim(theta) else (lambda idx: theta)
     x, w, y, z, v = links
     mod = mpsk_constants(4)
 
@@ -342,16 +346,16 @@ def test_closed_forms_are_batch_invariant(links, relays, rows, theta, data):
                                    gamma_bar_s=gs, gamma_bar_r=gr)
                 for rx, rw, ry in relays]
 
-    forms = [lambda *p: cdf_scenario_a_e2e(scenario_a(*p), theta),
-             lambda *p: cdf_scenario_b(scenario_b(*p), len(relays), theta),
-             lambda *p: asep_kernel_scenario_a(scenario_a(*p), mod)]
+    forms = [lambda t, *p: cdf_scenario_a_e2e(scenario_a(*p), t),
+             lambda t, *p: cdf_scenario_b(scenario_b(*p), t),
+             lambda t, *p: asep_kernel_scenario_a(scenario_a(*p), mod)]
     order = data.draw(st.permutations(range(len(rows))))
     subset = np.array(order[:data.draw(st.integers(1, len(rows)))])
     for form in forms:
-        alone = [_outcome(lambda: form(*(float(c[i]) for c in powers)))
+        alone = [_outcome(lambda: form(float(theta_at(i)), *(float(c[i]) for c in powers)))
                  for i in range(len(rows))]
         for idx in [np.array([i]) for i in range(len(rows))] + [np.arange(len(rows)), subset]:
-            outcome = _outcome(lambda: form(*(c[idx] for c in powers)))
+            outcome = _outcome(lambda: form(theta_at(idx), *(c[idx] for c in powers)))
             failed = [alone[i] for i in idx if isinstance(alone[i], str)]
             if failed:
                 assert outcome in failed
@@ -404,17 +408,22 @@ class TestDirectionCdf:
     def test_saturates(self):
         assert cdf_scenario_a(SEC, 1e4) == pytest.approx(1.0, abs=1e-6)
 
-    def test_theta_array_equals_scalar_calls(self):
+    @pytest.mark.parametrize("name", ["cdf_scenario_a", "cdf_scenario_a_e2e", "cdf_scenario_b"])
+    def test_theta_array_equals_scalar_calls(self, name):
+        # every secondary cdf takes a theta array elementwise, as its
+        # scalar calls bit for bit, and rejects a negative theta alike
+        inputs = [SEC, SEC.swapped()] if name == "cdf_scenario_b" else SEC
+        cdf = getattr(analytic, name)
         thetas = np.array([[0.0, 0.2, 1.0], [4.0, 0.0, 1e4]])
-        grid = cdf_scenario_a(SEC, thetas)
+        grid = cdf(inputs, thetas)
         assert grid.shape == thetas.shape
-        scalars = [cdf_scenario_a(SEC, t) for t in thetas.ravel().tolist()]
+        scalars = [cdf(inputs, t) for t in thetas.ravel().tolist()]
         assert {type(v) for v in scalars} == {float}
         assert _hex(grid.ravel()) == _hex(scalars)
         assert grid[0, 0] == grid[1, 1] == 0.0
         for theta in (-0.1, np.array([1.0, -0.1])):
             with pytest.raises(ValueError, match="nonnegative"):
-                cdf_scenario_a(SEC, theta)
+                cdf(inputs, theta)
 
     def test_monotone_in_theta(self):
         grid = np.linspace(0.0, 8.0, 50)
@@ -475,28 +484,32 @@ class TestSelectionCdf:
     def test_matches_quadrature(self):
         for K in (1, 2, 3):
             inputs = _relay_inputs(K, seed=K)
-            assert cdf_scenario_b(inputs, K, 1.5) == pytest.approx(
-                oracle.selection_oracle(inputs, K, 1.5), rel=1e-5)
+            assert cdf_scenario_b(inputs, 1.5) == pytest.approx(
+                oracle.selection_oracle(inputs, 1.5), rel=1e-5)
 
     def test_k1_collapse(self):
         inputs = _relay_inputs(1, seed=9)
-        ref = oracle.selection_oracle(inputs, 1, 1.5)
-        assert cdf_scenario_b(inputs, 1, 1.5) == pytest.approx(ref, rel=1e-10)
+        ref = oracle.selection_oracle(inputs, 1.5)
+        assert cdf_scenario_b(inputs, 1.5) == pytest.approx(ref, rel=1e-10)
 
     def test_more_relays_never_hurt(self):
         inputs = _relay_inputs(3, seed=4)
         for theta in (0.3, 1.0, 3.0):
-            vals = [cdf_scenario_b(inputs[:k], k, theta) for k in (1, 2, 3)]
+            vals = [cdf_scenario_b(inputs[:k], theta) for k in (1, 2, 3)]
             assert vals[0] >= vals[1] >= vals[2]
 
     def test_monotone_in_theta(self):
         inputs = _relay_inputs(2, seed=5)
         grid = np.linspace(0.0, 6.0, 50)
-        vals = [cdf_scenario_b(inputs, 2, float(t)) for t in grid]
+        vals = [cdf_scenario_b(inputs, float(t)) for t in grid]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_zero_threshold(self):
-        assert cdf_scenario_b(_relay_inputs(2), 2, 0.0) == 0.0
+        assert cdf_scenario_b(_relay_inputs(2), 0.0) == 0.0
+
+    def test_needs_a_relay(self):
+        with pytest.raises(ValueError, match="one input set per relay"):
+            cdf_scenario_b([], 1.5)
 
 
 class TestAsep:
@@ -982,7 +995,7 @@ def test_scalar_closed_forms_return_floats(monkeypatch):
     # under every numpy version
     sec_b = _sec(z=None, v=None)
     values = [primary_outage(PRIM), relay_phase_outage(PRIM), cdf_scenario_a(SEC, 1.5),
-              cdf_scenario_a_e2e(SEC, 1.5), cdf_scenario_b([sec_b, sec_b], 2, 1.5),
+              cdf_scenario_a_e2e(SEC, 1.5), cdf_scenario_b([sec_b, sec_b], 1.5),
               asep_kernel_scenario_a(SEC, mpsk_constants(4)),
               solve_secondary_source_power(PRIM, 0.3, 1e3), solve_relay_power(PRIM, 0.3, 1e3)]
     assert [type(v) for v in values] == [float] * len(values)
@@ -991,10 +1004,10 @@ def test_scalar_closed_forms_return_floats(monkeypatch):
                   gamma_bar_r=np.array([9.0, 9.0, 2.0]))
     rows, rows_b = _sec(**powers), _sec(z=None, v=None, **powers)
     arrays = [cdf_scenario_a_e2e(rows, 1.5), cdf_scenario_a_e2e(rows, 0.0),
-              cdf_scenario_b([rows_b, rows_b], 2, 1.5), cdf_scenario_b([rows_b, rows_b], 2, 0.0),
+              cdf_scenario_b([rows_b, rows_b], 1.5), cdf_scenario_b([rows_b, rows_b], 0.0),
               asep_kernel_scenario_a(rows, mpsk_constants(4))]
     assert [(type(a), a.shape) for a in arrays] == [(np.ndarray, (3,))] * len(arrays)
-    assert [type(v) for v in (cdf_scenario_a_e2e(SEC, 0.0), cdf_scenario_b([sec_b], 1, 0.0))] \
+    assert [type(v) for v in (cdf_scenario_a_e2e(SEC, 0.0), cdf_scenario_b([sec_b], 0.0))] \
         == [float, float]
     # a NaN kappa makes every term, and so the engine's 0-d sum, NaN
     survival = analytic._expected_survival

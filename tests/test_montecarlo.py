@@ -400,7 +400,7 @@ class TestEstimators:
         est = mc.estimate_outage(sc, POWERS, 2.0, trials=400_000, seed=12,
                                  sinr_kind="bounded")
         inputs = [_inputs(sc, k) for k in range(2)]
-        assert abs(est.value - cdf_scenario_b(inputs, 2, 2.0)) <= \
+        assert abs(est.value - cdf_scenario_b(inputs, 2.0)) <= \
             3.0 * est.ci_half_width
 
     def test_exact_outage_dominates_bounded(self):

@@ -44,7 +44,7 @@ class TestBoundaries:
                      lambda t: oracle.cdf_oracle_scenario_a(SEC, np.array([1.0, t])),
                      lambda t: oracle.survival_side_oracle(SEC, t),
                      lambda t: oracle.cdf_oracle_scenario_a_e2e(SEC, t),
-                     lambda t: oracle.selection_oracle([SEC], 1, t)):
+                     lambda t: oracle.selection_oracle([SEC], t)):
             with pytest.raises(ValueError, match="theta must be nonnegative"):
                 call(-0.5)
 
@@ -143,7 +143,7 @@ def test_fixed_rules_match_adaptive_quadrature():
         pairs[f"side {name}"] = oracle.survival_side_oracle(s, 1.3), sides[0]
         pairs[f"e2e {name}"] = (oracle.cdf_oracle_scenario_a_e2e(s, 1.3),
                                 1.0 - sides[0] * sides[1])
-        pairs[f"selection {name}"] = (oracle.selection_oracle([s, SEC], 2, 1.3),
+        pairs[f"selection {name}"] = (oracle.selection_oracle([s, SEC], 1.3),
                                       _selection_ref([s, SEC], 1.3))
         pairs[f"asep {name}"] = oracle.asep_oracle(s, mod), _asep_ref(s, mod)
     worst = {name: abs(value - ref) / ref for name, (value, ref) in pairs.items()}
@@ -171,8 +171,8 @@ class TestSelection:
         inp = SecondaryCdfInputs(
             x=L(2, 0.9), w=L(2, 1.1), y=L(1, 1.0), z=None, v=None,
             gamma_bar_p=10.0, gamma_bar_s=8.0, gamma_bar_r=12.0)
-        one = oracle.selection_oracle([inp], 1, 1.5)
-        three = oracle.selection_oracle([inp] * 3, 3, 1.5)
+        one = oracle.selection_oracle([inp], 1.5)
+        three = oracle.selection_oracle([inp] * 3, 1.5)
         assert three == pytest.approx(one ** 3, rel=1e-8)
 
     def test_relay_count_cap(self):
@@ -180,9 +180,9 @@ class TestSelection:
             x=L(1, 1.0), w=L(1, 1.0), y=L(1, 1.0), z=L(1, 1.0), v=L(1, 1.0),
             gamma_bar_p=10.0, gamma_bar_s=8.0, gamma_bar_r=12.0)
         with pytest.raises(ValueError):
-            oracle.selection_oracle([inp] * 5, 5, 1.5)
+            oracle.selection_oracle([inp] * 5, 1.5)
         with pytest.raises(ValueError):
-            oracle.selection_oracle([inp], 2, 1.5)
+            oracle.selection_oracle([], 1.5)
 
 
 class TestAsepOracle:

@@ -158,3 +158,14 @@ def test_readme_usage_block_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_closed_forms_take_inputs_and_theta():
+    # the secondary cdfs and the best-relay oracle are called as (inputs,
+    # theta), with the relay count the length of the inputs, and analytic
+    # keeps one theta rule (``_cdf``) rather than a zero helper per cdf
+    for fn in (analytic.cdf_scenario_a, analytic.cdf_scenario_a_e2e, analytic.cdf_scenario_b):
+        assert list(inspect.signature(fn).parameters) == ["inputs", "theta"], fn.__name__
+    assert list(inspect.signature(oracle.selection_oracle).parameters) == \
+        ["per_relay_inputs", "theta"]
+    assert not hasattr(analytic, "_zero")
