@@ -211,7 +211,10 @@ def run_sweep(plan: SweepPlan, cfg: RunConfig, *, analytic_only: bool = False,
     transmitting rows of each relay count in one call (``_fill``), and the
     Monte Carlo cells of the rows without an error are estimated together,
     on one gain draw per trial slice for the largest relay count among
-    them.  Each row keeps only the cells ``_filled_cells`` names."""
+    them.  Each row keeps only the cells ``_filled_cells`` names; a sweep
+    that is both analytic only and Monte Carlo only raises ValueError."""
+    if analytic_only and mc_only:
+        raise ValueError("analytic_only and mc_only are mutually exclusive")
     mod = mpsk_constants(4)
     filled = _filled_cells(cfg.scenario_kind, analytic_only, mc_only)
     scenario = cfg.network_scenario(max(plan.relay_counts))

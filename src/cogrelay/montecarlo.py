@@ -86,22 +86,21 @@ class Estimate:
     seed: int
 
 
+# Link names in stream-id order: the links into the primary receiver, then
+# four per relay (suffixed by the relay index in Scenario (b)), then the
+# direct interference links z, v of Scenario (a).
+_PRIMARY_LINKS, _RELAY_LINKS = ("e", "f", "g"), ("x", "w", "y", "l")
+
+
 def link_table(scenario: NetworkScenario) -> list[tuple[str, "object"]]:
     """Canonical (name, link) ordering; the position is the stream id."""
-    rows = [
-        ("e", scenario.pt_px),
-        ("f", scenario.s1_px),
-        ("g", scenario.s2_px),
-    ]
+    a = scenario.scenario is Scenario.A
+    rows = list(zip(_PRIMARY_LINKS, (scenario.pt_px, scenario.s1_px, scenario.s2_px)))
     for k in range(scenario.K):
-        suffix = "" if scenario.scenario is Scenario.A else str(k)
-        rows += [
-            (f"x{suffix}", scenario.s2_relay[k]),
-            (f"w{suffix}", scenario.s1_relay[k]),
-            (f"y{suffix}", scenario.pt_relay[k]),
-            (f"l{suffix}", scenario.relay_px[k]),
-        ]
-    if scenario.scenario is Scenario.A:
+        rows += zip([name + ("" if a else str(k)) for name in _RELAY_LINKS],
+                    (scenario.s2_relay[k], scenario.s1_relay[k], scenario.pt_relay[k],
+                     scenario.relay_px[k]))
+    if a:
         rows += [("z", scenario.pt_s1), ("v", scenario.pt_s2)]
     return rows
 
@@ -368,11 +367,6 @@ def estimate_asep(scenario: NetworkScenario, powers: PowerProfile,
                          seed=seed, sinr_kind=sinr_kind)[0][1]
 
 
-# ``link_table``'s stream ids for these links (``l`` is relay 0's), so a
-# primary-outage estimate draws the same gains as a sweep at the same seed.
-_PRIMARY_LINK_IDS = {"e": 0, "f": 1, "g": 2, "l": 6}
-
-
 def estimate_primary_outage(inputs: PrimaryOutageInputs, trials: int = DEFAULT_TRIALS,
                             seed: int = 0, phase: str = "ma") -> Estimate:
     """Monte Carlo of the primary receiver outage event, either in the
@@ -381,9 +375,12 @@ def estimate_primary_outage(inputs: PrimaryOutageInputs, trials: int = DEFAULT_T
     if phase not in ("ma", "bc"):
         raise ValueError(f"phase must be 'ma' or 'bc', got {phase!r}")
 
+    # relay 0's links follow the primary receiver's in every link table, so
+    # these are the streams a sweep at the same seed draws (l is relay 0's)
+    ids = {name: i for i, name in enumerate(_PRIMARY_LINKS + _RELAY_LINKS)}
+
     def stream(name, link, start, n):
-        return _gamma_stream(seed, _PRIMARY_LINK_IDS[name], link.m, link.mean_gain,
-                             start, n)
+        return _gamma_stream(seed, ids[name], link.m, link.mean_gain, start, n)
 
     def leaf(start, n):
         e = stream("e", inputs.e, start, n)

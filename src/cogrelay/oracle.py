@@ -9,6 +9,11 @@ where c is the exponential rate of the survival factor that h carries:
 it is exact when h(t) e^{ct} is a polynomial of degree below twice the
 node count, which every integer-order survival Q(m, c(t + k)) is.
 
+The secondary oracles take theta as the closed forms do, through one rule
+(``_secondary``, ``_at``): a float, or an array whose axes lead the rules'
+node axes, with the value elementwise (0 where theta = 0 for the cdfs; a
+float for a float), and a negative theta raises ValueError.
+
 The outage oracles share no code with the closed forms.  ``asep_oracle``
 is the exception: by default its inner cdf is the closed-form
 ``cdf_scenario_a``, so it checks the kernel integration only;
@@ -55,19 +60,24 @@ def _gamma_rule(m: int, rate: float, tilt):
     return t, wt * np.exp(m * np.log(rate / s) + (s - rate) * t - math.lgamma(m))
 
 
-def _nonnegative(theta):
+def _secondary(inp: SecondaryCdfInputs, theta):
+    """The oracles' theta rule: theta as an array (a negative entry
+    raises), beta, the Gamma rates (by, bz, bv) of the normalized
+    interference Y, Z and V (None for a link Scenario (b) lacks), and the
+    survival rates cx, cw of X and W."""
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < 0.0):
         raise ValueError("theta must be nonnegative")
-    return theta
-
-
-def _interference_rates(inp: SecondaryCdfInputs):
-    """Gamma rates of the normalized interference variables Y, Z and V
-    (None for a link Scenario (b) lacks)."""
     gp, gs, gr = inp.gamma_bar_p, inp.gamma_bar_s, inp.gamma_bar_r
-    return (inp.y.rate * gs / (gr * gp),
-            *(None if link is None else link.rate / gp for link in (inp.z, inp.v)))
+    rates = (inp.y.rate * gs / (gr * gp),
+             *(None if link is None else link.rate / gp for link in (inp.z, inp.v)))
+    return theta, gr / gs, rates, inp.x.rate * theta / gr, inp.w.rate * theta / gr
+
+
+def _at(theta, value, at_zero: float = 0.0):
+    """``value``, and ``at_zero`` where theta = 0; a float for a float theta."""
+    value = np.where(theta > 0.0, value, at_zero)
+    return float(value) if value.ndim == 0 else value
 
 
 def primary_outage_oracle(inputs: PrimaryOutageInputs) -> float:
@@ -88,55 +98,44 @@ def relay_phase_outage_oracle(inputs: PrimaryOutageInputs) -> float:
 
 
 def cdf_oracle_scenario_a(inputs: SecondaryCdfInputs, theta):
-    """1 - chi1 * chi2 from the defining expectations, at a float ``theta``
-    or elementwise over an array: chi1 = E_{Y,Z}[Q_X((Z + Y + beta + 1)
-    theta/gr)] is a 2-D rule over (Y, Z), chi2 = E_Z[Q_W((Z + 1) theta/gr)]
-    a 1-D rule over Z."""
-    theta = _nonnegative(theta)
-    gr = inputs.gamma_bar_r
-    beta = gr / inputs.gamma_bar_s
-    by, bz, _ = _interference_rates(inputs)
-    cx, cw = inputs.x.rate * theta / gr, inputs.w.rate * theta / gr
+    """1 - chi1 * chi2 from the defining expectations: chi1 = E_{Y,Z}[Q_X((Z
+    + Y + beta + 1) theta/gr)] is a 2-D rule over (Y, Z), chi2 = E_Z[Q_W((Z
+    + 1) theta/gr)] a 1-D rule over Z."""
+    theta, beta, (by, bz, _), cx, cw = _secondary(inputs, theta)
     y, wy = _gamma_rule(inputs.y.m, by, cx)
     z, wz = _gamma_rule(inputs.z.m, bz, cx)
     qx = gammaincc(inputs.x.m, cx[..., None, None] * (y[..., :, None] + z[..., None, :] + beta + 1.0))
     chi1 = np.einsum("...i,...ij,...j->...", wy, qx, wz)
     z, wz = _gamma_rule(inputs.z.m, bz, cw)
     chi2 = np.sum(wz * gammaincc(inputs.w.m, cw[..., None] * (z + 1.0)), axis=-1)
-    cdf = np.where(theta > 0.0, 1.0 - chi1 * chi2, 0.0)
-    return float(cdf) if cdf.ndim == 0 else cdf
+    return _at(theta, 1.0 - chi1 * chi2)
 
 
-def survival_side_oracle(inputs: SecondaryCdfInputs, theta: float) -> float:
+def survival_side_oracle(inputs: SecondaryCdfInputs, theta):
     """E[Pr{X > max(Z + Y + beta + 1, V + 1) theta / gr}], one directional
-    factor of the end-to-end survival product, split at V = L with
-    L = Z + Y + beta: the head Q_X(L + 1) Pr{V <= L} plus the tail
-    E[Q_X(V + 1); V > L], a rule in u = V - L at rate bv + cx, both under a
-    2-D rule over (Y, Z)."""
-    theta = float(_nonnegative(theta))
-    gr = inputs.gamma_bar_r
-    beta = gr / inputs.gamma_bar_s
+    factor of the end-to-end survival product (exactly 1 at theta = 0),
+    split at V = L with L = Z + Y + beta: the head Q_X(L + 1) Pr{V <= L}
+    plus the tail E[Q_X(V + 1); V > L], a rule in u = V - L at rate
+    bv + cx, both under a 2-D rule over (Y, Z)."""
+    theta, beta, (by, bz, bv), cx, _ = _secondary(inputs, theta)
     mx, mv = inputs.x.m, inputs.v.m
-    by, bz, bv = _interference_rates(inputs)
-    cx = inputs.x.rate * theta / gr
     y, wy = _gamma_rule(inputs.y.m, by, cx)
     z, wz = _gamma_rule(inputs.z.m, bz, cx)
-    lv = y[:, None] + z + beta
-    head = gammaincc(mx, cx * (lv + 1.0)) * gammainc(mv, bv * lv)
+    lv = y[..., :, None] + z[..., None, :] + beta
+    head = gammaincc(mx, cx[..., None, None] * (lv + 1.0)) * gammainc(mv, bv * lv)
     # f_V(L + u) = e^{-bv u} bv (bv (L + u))^{mv-1} e^{-bv L} / (mv-1)!, an
     # exponential density in u times the factor the rule's h carries
     u, wu = _gamma_rule(1, bv, cx)
-    v = lv[..., None] + u
+    v = lv[..., None] + u[..., None, None, :]
     density = np.exp((mv - 1) * np.log(bv * v) - bv * lv[..., None] - math.lgamma(mv))
-    tail = (density * gammaincc(mx, cx * (v + 1.0))) @ wu
-    return float(wy @ (head + tail) @ wz)
+    qx = gammaincc(mx, cx[..., None, None, None] * (v + 1.0))
+    tail = np.sum(density * qx * wu[..., None, None, :], axis=-1)
+    return _at(theta, np.einsum("...i,...ij,...j->...", wy, head + tail, wz), 1.0)
 
 
-def cdf_oracle_scenario_a_e2e(inputs: SecondaryCdfInputs, theta: float) -> float:
+def cdf_oracle_scenario_a_e2e(inputs: SecondaryCdfInputs, theta):
     """1 - product of the two directional survival factors (the same
     independence approximation as the closed form)."""
-    if _nonnegative(theta) == 0.0:
-        return 0.0
     return 1.0 - (survival_side_oracle(inputs, theta)
                   * survival_side_oracle(inputs.swapped(), theta))
 
@@ -157,19 +156,18 @@ def asep_oracle(inputs: SecondaryCdfInputs, mod: ModulationSpec,
     return a * math.sqrt(b / math.pi) * float(np.sum(half * w * np.exp(-b * u * u) * F))
 
 
-def selection_oracle(per_relay_inputs: list[SecondaryCdfInputs], theta: float) -> float:
-    """Best-relay outage: per relay, the pair survival E_Y[Q_X Q_W] with
-    both survivals at (Y + beta + 1) theta / gr is a 1-D rule over Y at
-    rate by + cx + cw; the relays are independent, so their cdfs multiply."""
-    if not 1 <= len(per_relay_inputs) <= 4:
-        raise ValueError(f"oracle takes 1 to 4 relays, got {len(per_relay_inputs)}")
-    if _nonnegative(theta) == 0.0:
-        return 0.0
+def selection_oracle(per_relay_inputs: list[SecondaryCdfInputs], theta):
+    """Best-relay outage over one or more relays: per relay, the pair
+    survival E_Y[Q_X Q_W] with both survivals at (Y + beta + 1) theta / gr
+    is a 1-D rule over Y at rate by + cx + cw; the relays are independent,
+    so their cdfs multiply."""
+    if not per_relay_inputs:
+        raise ValueError("selection_oracle takes at least one relay")
     prod = 1.0
     for inp in per_relay_inputs:
-        gr = inp.gamma_bar_r
-        cx, cw = inp.x.rate * theta / gr, inp.w.rate * theta / gr
-        y, wy = _gamma_rule(inp.y.m, _interference_rates(inp)[0], cx + cw)
-        s = y + gr / inp.gamma_bar_s + 1.0
-        prod *= 1.0 - float(wy @ (gammaincc(inp.x.m, cx * s) * gammaincc(inp.w.m, cw * s)))
-    return prod
+        theta, beta, (by, _, _), cx, cw = _secondary(inp, theta)
+        y, wy = _gamma_rule(inp.y.m, by, cx + cw)
+        s = y + beta + 1.0
+        pair = gammaincc(inp.x.m, cx[..., None] * s) * gammaincc(inp.w.m, cw[..., None] * s)
+        prod = prod * (1.0 - np.sum(wy * pair, axis=-1))
+    return _at(theta, prod)

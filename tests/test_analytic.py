@@ -53,6 +53,22 @@ def _sec(**overrides) -> SecondaryCdfInputs:
     return SecondaryCdfInputs(**fields)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: _prim(gamma_bar_p=0.0), "gamma_bar_p must be positive"),
+    (lambda: _prim(gamma_bar_s2=-1.0), "gamma_bar_s2 must be nonnegative"),
+    (lambda: _prim(threshold=-0.5), "threshold must be nonnegative"),
+    (lambda: _sec(gamma_bar_s=0.0), "gamma_bar_s must be positive"),
+    (lambda: _sec(gamma_bar_r=np.array([1.0, 0.0])), "gamma_bar_r must be positive"),
+    (lambda: analytic.solve_power_lattice(PRIM.e, (PRIM.f, PRIM.g), [10.0], 1.0, [1.5],
+                                          [100.0], "source power"),
+     r"thresholds must be probabilities, got \[1.5\]"),
+], ids=["primary_zero_gp", "primary_negative_snr", "primary_negative_threshold",
+        "secondary_zero_snr", "secondary_zero_row", "solve_threshold_above_one"])
+def test_invalid_inputs_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestPrimaryOutage:
     def test_matches_quadrature(self):
         rng = np.random.default_rng(3)

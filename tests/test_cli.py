@@ -72,6 +72,17 @@ class TestRunSweep:
         cells = row.as_csv().split(",")
         assert cells[7] == ""  # mc_oc column
 
+    def test_both_modes_are_rejected_before_the_solve(self, monkeypatch):
+        # a sweep with neither result column is an error, as in estimate_rows
+        # given neither metric, not rows of powers with no result cells
+        def solve(*args, **kwargs):
+            raise AssertionError("the powers were solved")
+
+        monkeypatch.setattr(cli, "_solve_powers", solve)
+        cfg = parse_config(SMALL)
+        with pytest.raises(ValueError, match="analytic_only and mc_only are mutually exclusive"):
+            cli.run_sweep(cfg.sweeps["sweep"], cfg, analytic_only=True, mc_only=True)
+
     @pytest.mark.parametrize("text", [
         SMALL, SMALL_B.replace("outage_thresholds = 0.3", "outage_thresholds = 0.0, 0.3")],
         ids=["a", "b"])
@@ -405,6 +416,12 @@ class TestMain:
         with pytest.raises(SystemExit) as err:
             cli.main([])
         assert err.value.code == 2
+
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["--config", str(tmp_path / "missing.cfg")])
+        assert err.value.code == 2
+        assert "cannot read config" in capsys.readouterr().err
 
     def test_bad_config_reports_line(self, tmp_path, capsys):
         path = _write(tmp_path, SMALL.replace("rate = 1.0", "rate = fast"))

@@ -250,6 +250,32 @@ class TestErrors:
             parse_config(text)
         assert err.value.line == self._line_of(text, "[secondary]")
 
+    @pytest.mark.parametrize("text, message, line", [
+        (BASE.replace("[primary]", "[primary", 1), "unterminated section header", 1),
+        (BASE.replace("rate = 1.0", "rate 1.0", 1), "expected 'key = value', got 'rate 1.0'", 2),
+        (BASE + "\n[primary]\nrate = 1.0\nsnr_db = 10.0\n", "duplicate section [primary]", 57),
+        (BASE.replace("scenario = a", "scenario = c"), "scenario must be 'a' or 'b', got 'c'", 5),
+        (BASE.replace("relays = 1", "relays = 2"), "scenario a supports a single relay", 5),
+        (TEXT_B + "\n[links]\nm = 1\nmean_gain = 1.0\n", "malformed link section [links]", 61),
+        (TEXT_B + "\n[links.pt_relay.x]\nm = 1\nmean_gain = 1.0\n",
+         "malformed link section [links.pt_relay.x]", 61),
+        (TEXT_B + "\n[links.pt_px.2]\nm = 1\nmean_gain = 1.0\n",
+         "link 'pt_px' has no per-relay variants", 61),
+        (TEXT_B + "\n[links.pt_relay.3]\nm = 1\nmean_gain = 1.0\n",
+         "relay index 3 outside 1..2", 61),
+        (TEXT_B.replace("relay_counts = 1, 2", "relay_counts = 3"),
+         "sweep relay count 3 exceeds configured relays 2", None),
+        (TEXT_B.replace("relay_counts = 1, 2", "relay_counts = 0"),
+         "relay count 0 must be >= 1", 53),
+    ], ids=["unterminated_header", "no_equals", "duplicate_section", "scenario_c",
+            "scenario_a_two_relays", "bare_links", "links_bad_index", "pt_px_per_relay",
+            "relay_index_beyond_relays", "sweep_count_beyond_relays", "sweep_count_zero"])
+    def test_structural_errors_report_message_and_line(self, text, message, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
     def test_threshold_out_of_range(self):
         with pytest.raises(ConfigError):
             parse_config(BASE.replace("outage_thresholds = 0.0, 0.1",

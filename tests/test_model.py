@@ -101,6 +101,19 @@ class TestModulation:
             ModulationSpec(6, 2.0, 0.5)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PowerProfile(1.0, 0.0, 3.0, 10.0, 10.0), "gamma_bar_s must be positive"),
+    (lambda: PowerProfile(-1.0, 2.0, 3.0, 10.0, 10.0), "gamma_bar_p must be positive"),
+    (lambda: _scenario_a(K=0), "relay count K must be >= 1, got 0"),
+    (lambda: _scenario_a(secondary_threshold=0.0), "secondary_threshold must be positive"),
+    (lambda: ModulationSpec(4, 0.0, 0.5), "SEP constants a, b must be positive"),
+], ids=["power_zero_snr", "power_negative_snr", "scenario_no_relay",
+        "scenario_zero_threshold", "modulation_zero_a"])
+def test_invalid_values_raise(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestDb:
     def test_round_trip(self):
         for x in (0.1, 1.0, 31.6227766):

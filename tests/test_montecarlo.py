@@ -4,6 +4,7 @@ assembly, and cross-validation against the closed forms."""
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -440,15 +441,27 @@ class TestPrimaryEstimator:
         gamma_bar_p=10.0, gamma_bar_s1=4.0, gamma_bar_s2=6.0,
         gamma_bar_r=5.0, threshold=1.0)
 
-    @pytest.mark.parametrize("scenario", [scenario_a(), scenario_b(K=1)], ids=["a", "b"])
+    @pytest.mark.parametrize("scenario", [scenario_a(), scenario_b(K=2)], ids=["a", "b"])
     def test_streams_are_the_link_table_streams(self, scenario):
-        # each primary link reads the stream that link_table gives it in a
-        # one-relay network (relay 0's for l), so both estimators share draws
-        suffix = "" if scenario.scenario is Scenario.A else "0"
-        ids = {name: i for i, (name, _) in enumerate(mc.link_table(scenario))}
-        for name, stream in mc._PRIMARY_LINK_IDS.items():
-            table_name = name + suffix if name == "l" else name
-            assert stream == ids[table_name], name
+        # the primary estimator reads the streams that draw_gains gives the
+        # same links at the same seed (relay 0's for l), so both phases count
+        # the outage event of draw_gains' gains, across several slices
+        p = replace(self.INPUTS, e=scenario.pt_px, f=scenario.s1_px, g=scenario.s2_px,
+                    l=scenario.relay_px[0])
+        n = 2 * mc._SLICE + 7
+        draw = mc.draw_gains(scenario, 23, n)
+        l = draw["l" if scenario.scenario is Scenario.A else "l0"]
+        for phase, interference in (
+                ("ma", p.gamma_bar_s1 * draw["f"] + p.gamma_bar_s2 * draw["g"]),
+                ("bc", p.gamma_bar_r * l)):
+            hits = np.count_nonzero(p.gamma_bar_p * draw["e"] / (interference + 1.0)
+                                    < p.threshold)
+            est = mc.estimate_primary_outage(p, trials=n, seed=23, phase=phase)
+            assert 0 < hits < n and est.value == hits / n, phase
+
+    def test_unknown_phase_is_rejected(self):
+        with pytest.raises(ValueError, match="phase must be 'ma' or 'bc', got 'x'"):
+            mc.estimate_primary_outage(self.INPUTS, trials=1_000, seed=1, phase="x")
 
     def test_source_phase_matches_closed_form(self):
         est = mc.estimate_primary_outage(self.INPUTS, trials=400_000, seed=17,

@@ -10,7 +10,8 @@ from scipy.special import gammainc, gammaincc
 
 import cogrelay.montecarlo as mc
 from cogrelay.model import FadingLink as L, PowerProfile, mpsk_constants
-from cogrelay.analytic import PrimaryOutageInputs, SecondaryCdfInputs, cdf_scenario_a
+from cogrelay.analytic import (PrimaryOutageInputs, SecondaryCdfInputs, cdf_scenario_a,
+                               cdf_scenario_b)
 from cogrelay import oracle
 from tests.test_montecarlo import scenario_a
 
@@ -47,6 +48,26 @@ class TestBoundaries:
                      lambda t: oracle.selection_oracle([SEC], t)):
             with pytest.raises(ValueError, match="theta must be nonnegative"):
                 call(-0.5)
+
+    def test_theta_arrays_are_elementwise(self):
+        # every secondary oracle takes theta as the closed forms do: an
+        # array of any shape gives the float calls' values bit for bit,
+        # 0 at theta = 0 for the cdfs, and a float theta gives a float
+        relays = [SEC, SecondaryCdfInputs(
+            x=L(3, 0.7), w=L(2, 1.2), y=L(1, 1.5), z=None, v=None,
+            gamma_bar_p=10.0, gamma_bar_s=5.0, gamma_bar_r=7.0)]
+        calls = {"cdf": lambda t: oracle.cdf_oracle_scenario_a(SEC, t),
+                 "side": lambda t: oracle.survival_side_oracle(SEC, t),
+                 "e2e": lambda t: oracle.cdf_oracle_scenario_a_e2e(SEC, t),
+                 "selection": lambda t: oracle.selection_oracle(relays * 2, t)}
+        theta = np.array([[0.0, 1e-3, 1.3], [2.0, 0.0, 9.0]])
+        for name, call in calls.items():
+            values = call(theta)
+            assert values.shape == theta.shape, name
+            for idx in np.ndindex(theta.shape):
+                value = call(float(theta[idx]))
+                assert type(value) is float and values[idx] == value, (name, idx)
+            assert call(0.0) == (1.0 if name == "side" else 0.0), name
 
 
 # Adaptive references: the oracles' definitions by scipy's quad, nested
@@ -179,8 +200,9 @@ class TestSelection:
         inp = SecondaryCdfInputs(
             x=L(1, 1.0), w=L(1, 1.0), y=L(1, 1.0), z=L(1, 1.0), v=L(1, 1.0),
             gamma_bar_p=10.0, gamma_bar_s=8.0, gamma_bar_r=12.0)
-        with pytest.raises(ValueError):
-            oracle.selection_oracle([inp] * 5, 1.5)
+        # any relay count from 1 up: six relays meet the closed form
+        assert oracle.selection_oracle([inp] * 6, 1.5) == \
+            pytest.approx(cdf_scenario_b([inp] * 6, 1.5), rel=1e-12, abs=0.0)
         with pytest.raises(ValueError):
             oracle.selection_oracle([], 1.5)
 

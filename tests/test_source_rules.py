@@ -1,7 +1,9 @@
 """Source-level rules of the package that no runtime test can see."""
 
 import ast
+import importlib
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -169,3 +171,25 @@ def test_closed_forms_take_inputs_and_theta():
     assert list(inspect.signature(oracle.selection_oracle).parameters) == \
         ["per_relay_inputs", "theta"]
     assert not hasattr(analytic, "_zero")
+
+
+def test_benchmark_layer_functions_exist():
+    # a traced benchmark run builds each per-layer metric of BENCHMARK.json
+    # from the functions that perfbench/layers.py lists for it, and drops
+    # the metric without failing when one of them is gone; so every listed
+    # ``layer.fn`` must stay a callable of ``cogrelay.<layer>``
+    root = Path(cogrelay.__file__).parents[2]
+    names = [entry["name"] for entry in
+             json.loads((root / "BENCHMARK.json").read_text())["per_layer"]]
+    layers_py = root / "perfbench" / "layers.py"
+    namespace = {"__name__": "perfbench_layers"}
+    exec(compile(layers_py.read_text(), str(layers_py), "exec"), namespace)
+    metrics = namespace["METRICS"]
+    assert set(names) <= set(metrics), sorted(set(names) - set(metrics))
+
+    def defined(fn):
+        layer, name = fn.split(".", 1)
+        return callable(getattr(importlib.import_module(f"cogrelay.{layer}"), name, None))
+
+    gone = sorted({fn for name in names for fn in metrics[name][1] if not defined(fn)})
+    assert not gone, f"functions the per-layer metrics need are gone: {', '.join(gone)}"
