@@ -10,10 +10,11 @@ Scenario (b) are calls of one term engine, ``_expected_survival``, whose
 terms come from the multinomial theorem and the Gamma Laplace transform.
 Every input of the engine broadcasts (the scales, kappa, the gain rates
 and the series weights) and each element is contracted on its own, so a
-whole sweep is one engine call.  One lattice solver, ``_solve``, finds
-every regulated power of a sweep at once, and each closed form the sweep
-reports takes one link set with float SNRs or 1-D arrays of them (one row
-each) and returns a float or an array.  The three secondary cdfs take
+whole sweep is one engine call; only the ASEP kernel rule contracts each
+row's nodes at once (``_node_survival``).  One lattice solver, ``_solve``,
+finds every regulated power of a sweep at once, and each closed form the
+sweep reports takes one link set with float SNRs or 1-D arrays of them
+(one row each) and returns a float or an array.  The three secondary cdfs take
 ``(inputs, theta)`` and share one theta rule, ``_cdf``: theta is a float
 or an array broadcast against the rows as numpy broadcasts, the value is
 elementwise (0 where theta = 0; a float for a float and float SNRs), and
@@ -79,11 +80,13 @@ CANCELLATION_LIMIT = 1e5
 # right tail, (mu g)^{mx+mw} e^{-mu g}, needs u up to ~5.3 at m = 8.
 _KERNEL_OFFSETS, _KERNEL_WEIGHTS = (a[100 - 72:] for a in de_rule(1.0 / 16.0, 100))
 
-# Largest temporary of asep_kernel_scenario_a, in floats: a block of rows x
-# 173 nodes x the terms of chi1 or chi2.  2**15 (256 KB) gives analytic_highm
-# (56 terms) blocks of 3 rows and example.cfg (10 terms) blocks of 18.  On
-# analytic_highm (2 vCPUs, numpy 2.4.6) the rule takes ~10.5 ms, ~19 ms row
-# by row and ~8.5 ms in blocks of 13, whose 1 MB temporaries raise the RSS.
+# Largest temporary of asep_kernel_scenario_a, in floats: the terms of
+# chi1 or chi2 over a block of rows x 173 nodes, each row's from one matrix
+# product.  2**15 (256 KB) sets each factor's block: on analytic_highm 3
+# rows for chi1 (56 terms) and 12 for chi2 (15), on example.cfg 18 and 63.
+# On analytic_highm (2 vCPUs, numpy 2.4.6, one BLAS thread) the kernel
+# takes 6.8 ms of a 12.6 ms sweep, against 10.8 of 16.4 ms with one
+# vector-matrix product per row and node.
 _KERNEL_FLOATS = 2 ** 15
 
 # Stands in for log 0 in the term engine: times an exponent 0 it adds 0
@@ -214,7 +217,9 @@ def _expected_survival(factors, kappa, gains):
     exponents, where log 0 is floored so that 0**0 = 1 (a_i = 0 keeps its
     j_i = 0 terms) and a zero weight drops its terms; each element has its
     own vector-matrix product and its own pairwise sum of terms, so its
-    value does not depend on the others.  A 0-d result is a float.
+    value does not depend on the others.  A 0-d result is a float.  Only
+    ``asep_kernel_scenario_a`` contracts a whole node axis at once, through
+    ``_node_survival``; every other caller takes this per-element product.
     """
     total = _survival_terms(factors, kappa, gains).sum(axis=-1)
     return float(total) if total.ndim == 0 else total
@@ -223,6 +228,29 @@ def _expected_survival(factors, kappa, gains):
 def _survival_terms(factors, kappa, gains):
     """The positive terms that ``_expected_survival`` adds, along a last
     axis after the broadcast shape of its inputs."""
+    logs, expo, const = _survival_logs(factors, kappa, gains)
+    terms = np.matmul(logs[..., None, :], expo.T)[..., 0, :]
+    terms += const
+    np.exp(terms, out=terms)
+    return terms
+
+
+def _node_survival(factors, kappa, gains):
+    """``_expected_survival`` for inputs that broadcast to (rows, nodes),
+    with each row's terms over all its nodes from one (nodes x k)(k x
+    terms) matrix product: a row's value depends on the node count, never
+    on the row count (one product over rows x nodes would round by it)."""
+    logs, expo, const = _survival_logs(factors, kappa, gains)
+    terms = np.matmul(logs, expo.T)
+    terms += const
+    np.exp(terms, out=terms)
+    return terms.sum(axis=-1)
+
+
+def _survival_logs(factors, kappa, gains):
+    """Per element of the engine's broadcast shape, the logs to contract
+    with the exponent table, along a last axis; with the table and the
+    log constants (weights added) of its terms."""
     orders = tuple(m if isinstance(m, int) else np.shape(m)[-1] for m, _ in factors)
     cs = [c for _, c in factors]
     s = sum(cs)
@@ -240,10 +268,7 @@ def _survival_terms(factors, kappa, gains):
     logs = np.full((*x.shape[:-1], x.shape[-1] + 1), _LOG_ZERO)
     np.log(x, out=logs[..., :-1], where=x > 0.0)
     logs[..., -1] = -s * kappa
-    terms = np.matmul(logs[..., None, :], expo.T)[..., 0, :]
-    terms += const
-    np.exp(terms, out=terms)
-    return terms
+    return logs, expo, const
 
 
 def _clamped(value, high: float, slack: float, error: str):
@@ -418,19 +443,27 @@ class _Rates:
         return b + self.qx * (self.beta + 1.0) + self.qw
 
 
+def _chi1_args(inp: SecondaryCdfInputs, theta, r: _Rates):
+    """Engine arguments (factors, kappa, gains) of chi1 = E_{Z,Y}[Pr{X > (Z
+    + Y + beta + 1) theta / gr}] at rates ``r``."""
+    return [(inp.x.m, r.qx * theta)], r.beta + 1.0, [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)]
+
+
+def _chi2_args(inp: SecondaryCdfInputs, theta, r: _Rates):
+    """Engine arguments of chi2 = E_Z[Pr{W > (Z + 1) theta / gr}], as ``_chi1_args``."""
+    return [(inp.w.m, r.qw * theta)], 1.0, [(inp.z.m, 1.0, r.bz)]
+
+
 def _chi1(inp: SecondaryCdfInputs, theta, r: _Rates | None = None):
-    """E_{Z,Y}[Pr{X > (Z + Y + beta + 1) theta / gr}], elementwise over
-    ``theta`` broadcast against the rows of ``inp``; given rates ``r``
-    replace ``_Rates(inp)``, and ``inp`` gives the shapes."""
-    r = _Rates(inp) if r is None else r
-    return _expected_survival([(inp.x.m, r.qx * theta)], r.beta + 1.0,
-                              [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)])
+    """chi1, elementwise over ``theta`` broadcast against the rows of
+    ``inp``; given rates ``r`` replace ``_Rates(inp)``, and ``inp`` gives
+    the shapes."""
+    return _expected_survival(*_chi1_args(inp, theta, _Rates(inp) if r is None else r))
 
 
-def _chi2(inp: SecondaryCdfInputs, theta, r: _Rates | None = None):
-    """E_Z[Pr{W > (Z + 1) theta / gr}], as ``_chi1``."""
-    r = _Rates(inp) if r is None else r
-    return _expected_survival([(inp.w.m, r.qw * theta)], 1.0, [(inp.z.m, 1.0, r.bz)])
+def _chi2(inp: SecondaryCdfInputs, theta):
+    """chi2, as ``_chi1``."""
+    return _expected_survival(*_chi2_args(inp, theta, _Rates(inp)))
 
 
 def _cdf(theta, cdf, where: str):
@@ -557,22 +590,29 @@ def asep_kernel_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec):
     of the direction cdf 1 - chi1 chi2, by a fixed 173-node double-exponential
     rule in x = ln g centred on the peak g0 = 1/(2 mu) of g^{1/2} e^{-mu g},
     where mu is the integrand's decay rate; the dropped left tail is worth
-    at most 1.0e-21 sqrt(g0) (see ``_KERNEL_OFFSETS``).  The temporaries
-    are rows x 173 nodes x the terms of chi1 or chi2, so the rows go
-    through in blocks (3 rows on analytic_highm) on slices of the rates,
-    each within ``_KERNEL_FLOATS``; a row's value does not depend on its block."""
-    terms = max(len(_term_table((inputs.x.m,), (inputs.y.m, inputs.z.m))[1]),
-                len(_term_table((inputs.w.m,), (inputs.z.m,))[1]))
-    rows = max(1, _KERNEL_FLOATS // (_KERNEL_OFFSETS.size * terms))
+    at most 1.0e-21 sqrt(g0) (see ``_KERNEL_OFFSETS``).  Each row's chi1
+    and chi2 terms over its 173 nodes come from one matrix product
+    (``_node_survival``), so a row's value does not depend on the others.
+    The terms of a factor over a block of rows fill at most
+    ``_KERNEL_FLOATS``, so each factor has its own block (on analytic_highm
+    3 rows for chi1 and 12 for chi2), and the rows go through in super-blocks
+    of the larger one on slices of the rates."""
     rates = _Rates(replace(inputs, **{name: np.reshape(getattr(inputs, name), (-1, 1))
                                       for name in _POWERS}))
+    chis = [(args, max(1, _KERNEL_FLOATS // (_KERNEL_OFFSETS.size
+                                             * len(_term_table(orders, shapes)[1]))))
+            for args, orders, shapes in [(_chi1_args, (inputs.x.m,), (inputs.y.m, inputs.z.m)),
+                                         (_chi2_args, (inputs.w.m,), (inputs.z.m,))]]
+    step = max(rows for _, rows in chis)
     log_peak = np.log(0.5 / rates.kernel_rate(mod.b))
     kernel = np.empty(len(log_peak))
-    for start in range(0, len(kernel), rows):
-        r = rates[start:start + rows]
-        g = np.exp(log_peak[start:start + rows] + _KERNEL_OFFSETS)
-        f = np.exp(-mod.b * g) * np.sqrt(g) * _chi1(inputs, g, r) * _chi2(inputs, g, r)
-        kernel[start:start + rows] = (_KERNEL_WEIGHTS * f).sum(axis=-1)
+    for start in range(0, len(kernel), step):
+        r, g = rates[start:start + step], np.exp(log_peak[start:start + step] + _KERNEL_OFFSETS)
+        f = np.exp(-mod.b * g) * np.sqrt(g)
+        for args, rows in chis:
+            for at in range(0, len(g), rows):
+                f[at:at + rows] *= _node_survival(*args(inputs, g[at:at + rows], r[at:at + rows]))
+        kernel[start:start + step] = (_KERNEL_WEIGHTS * f).sum(axis=-1)
     return _asep_value(kernel.reshape(np.shape(inputs.gamma_bar_p)), mod,
                        "asep_kernel_scenario_a")
 

@@ -116,21 +116,25 @@ def survival_side_oracle(inputs: SecondaryCdfInputs, theta):
     factor of the end-to-end survival product (exactly 1 at theta = 0),
     split at V = L with L = Z + Y + beta: the head Q_X(L + 1) Pr{V <= L}
     plus the tail E[Q_X(V + 1); V > L], a rule in u = V - L at rate
-    bv + cx, both under a 2-D rule over (Y, Z)."""
+    bv + cx, both under a 2-D rule over (Y, Z).  The tail holds a 48^3
+    tensor per theta, so the elements of a theta array go through one at a time."""
+    if np.ndim(theta):
+        theta = np.asarray(theta, dtype=float)
+        return np.reshape([survival_side_oracle(inputs, t) for t in theta.ravel().tolist()],
+                          theta.shape)
     theta, beta, (by, bz, bv), cx, _ = _secondary(inputs, theta)
     mx, mv = inputs.x.m, inputs.v.m
     y, wy = _gamma_rule(inputs.y.m, by, cx)
     z, wz = _gamma_rule(inputs.z.m, bz, cx)
-    lv = y[..., :, None] + z[..., None, :] + beta
-    head = gammaincc(mx, cx[..., None, None] * (lv + 1.0)) * gammainc(mv, bv * lv)
+    lv = y[:, None] + z + beta
+    head = gammaincc(mx, cx * (lv + 1.0)) * gammainc(mv, bv * lv)
     # f_V(L + u) = e^{-bv u} bv (bv (L + u))^{mv-1} e^{-bv L} / (mv-1)!, an
     # exponential density in u times the factor the rule's h carries
     u, wu = _gamma_rule(1, bv, cx)
-    v = lv[..., None] + u[..., None, None, :]
+    v = lv[..., None] + u
     density = np.exp((mv - 1) * np.log(bv * v) - bv * lv[..., None] - math.lgamma(mv))
-    qx = gammaincc(mx, cx[..., None, None, None] * (v + 1.0))
-    tail = np.sum(density * qx * wu[..., None, None, :], axis=-1)
-    return _at(theta, np.einsum("...i,...ij,...j->...", wy, head + tail, wz), 1.0)
+    tail = np.sum(density * gammaincc(mx, cx * (v + 1.0)) * wu, axis=-1)
+    return _at(theta, np.einsum("i,ij,j->", wy, head + tail, wz), 1.0)
 
 
 def cdf_oracle_scenario_a_e2e(inputs: SecondaryCdfInputs, theta):

@@ -5,6 +5,7 @@ import collections
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -714,6 +715,71 @@ def test_trimmed_kernel_rule_matches_the_full_rule(inp, monkeypatch):
     monkeypatch.setattr(analytic, "_KERNEL_WEIGHTS", weights)
     full = asep_kernel_scenario_a(inp, mpsk_constants(4))
     assert (np.abs(trimmed - full) <= 4.0 * np.spacing(full)).all(), (trimmed, full)
+
+
+def _spread(inp, rows):
+    """``inp`` with 1-D SNR arrays of ``rows`` rows around its SNRs."""
+    return replace(inp, **{name: getattr(inp, name) * np.geomspace(0.1, 10.0, rows)
+                           for name in analytic._POWERS})
+
+
+def test_kernel_rows_do_not_depend_on_their_blocks(monkeypatch):
+    # 31 rows at the analytic_highm shapes, so that chi1 (56 terms, blocks
+    # of 3 rows) and chi2 (15 terms, blocks of 12) both span several blocks
+    # and end on a partial one: the kernel integral of each row equals its
+    # one-row call and its float-SNR call bit for bit
+    inp = _spread(_shaped(*SHAPE_CASES["analytic_highm"]), 31)
+    terms = [len(analytic._term_table(*table)[1]) for table in [((6,), (4, 3)), ((5,), (3,))]]
+    assert [analytic._KERNEL_FLOATS // (analytic._KERNEL_OFFSETS.size * t) for t in terms] == \
+        [3, 12]
+    monkeypatch.setattr(analytic, "_asep_value", lambda kernel, mod, where: kernel)
+    mod = mpsk_constants(4)
+    whole = asep_kernel_scenario_a(inp, mod)
+    for i in range(31):
+        row = {name: getattr(inp, name)[i:i + 1] for name in analytic._POWERS}
+        assert _hex(asep_kernel_scenario_a(replace(inp, **row), mod)) == _hex(whole[i:i + 1])
+        point = replace(inp, **{name: float(p[0]) for name, p in row.items()})
+        assert _hex([asep_kernel_scenario_a(point, mod)]) == _hex(whole[i:i + 1])
+
+
+@SHAPES
+def test_node_contraction_matches_the_per_element_engine(shapes):
+    # the kernel's chi1 and chi2 on its (row, node) lattice: one matrix
+    # product per row rounds differently from a vector-matrix product per
+    # element, within 4 ulp of the log domain the engine works in.  A
+    # term's exponent rounds on the scale of its absolute sum (a log-0
+    # floor aside, whose terms are 0 either way), so far in the right tail
+    # the values differ by more ulp (238 at chi1 = 6.0e-61, analytic_highm)
+    inp = _spread(_shaped(*shapes), 31)
+    r = analytic._Rates(replace(inp, **{name: getattr(inp, name)[:, None]
+                                        for name in analytic._POWERS}))
+    g = np.exp(np.log(0.5 / r.kernel_rate(mpsk_constants(4).b)) + analytic._KERNEL_OFFSETS)
+    for args in (analytic._chi1_args, analytic._chi2_args):
+        call = args(inp, g, r)
+        nodes, each = analytic._node_survival(*call), analytic._expected_survival(*call)
+        assert nodes.shape == each.shape == g.shape and (each > 0.0).all()
+        logs, expo, const = analytic._survival_logs(*call)
+        scale = np.matmul(np.abs(logs), expo.T) + np.abs(const)
+        scale = np.where(scale < 1e299, scale, 0.0).max(axis=-1)
+        assert (np.abs(np.log(nodes / each)) <= 4.0 * np.spacing(1.0 + scale)).all(), \
+            args.__name__
+
+
+def test_kernel_memory_is_block_sized():
+    # 400 analytic_highm rows: the temporaries are those of one factor
+    # block, whatever the row count, so the traced peak stays near one
+    # block's (433 KB before each row had its own matrix product).  Each
+    # temporary stays below the speed probe's 320 KB arrays in perfbench:
+    # larger ones change the heap state that the probe reads
+    inp = _spread(_shaped(*SHAPE_CASES["analytic_highm"]), 400)
+    asep_kernel_scenario_a(inp, mpsk_constants(4))
+    tracemalloc.start()
+    try:
+        asep_kernel_scenario_a(inp, mpsk_constants(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
 
 
 def _asep_terms_reference(inp, r, alphas, mu):

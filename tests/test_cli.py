@@ -243,7 +243,9 @@ class TestRunSweep:
         r = clean[target]
         by = analytic._Rates(cli._secondary_inputs(cfg.network_scenario(r.K), r.gamma_bar_p,
                                                    r.gamma_bar_s, r.gamma_bar_r)[0]).by
-        survival = analytic._expected_survival
+        # the ASEP kernel rule's calls have their own engine entry
+        entry = "_node_survival" if column == "analytic_asep" else "_expected_survival"
+        survival = getattr(analytic, entry)
 
         def nan_at_target(factors, kappa, gains):
             value = survival(factors, kappa, gains)
@@ -254,7 +256,7 @@ class TestRunSweep:
                 value = np.where(np.broadcast_to(gains[0][2] == by, value.shape), np.nan, value)
             return value
 
-        monkeypatch.setattr(analytic, "_expected_survival", nan_at_target)
+        monkeypatch.setattr(analytic, entry, nan_at_target)
         rows = cli.run_sweep(plan, cfg)
         assert len(rows) == len(clean)
         for i, (row, c) in enumerate(zip(rows, clean)):
@@ -281,7 +283,9 @@ class TestRunSweep:
         r = clean[target]
         by = analytic._Rates(cli._secondary_inputs(cfg.network_scenario(r.K), r.gamma_bar_p,
                                                    r.gamma_bar_s, r.gamma_bar_r)[0]).by
-        survival = analytic._expected_survival
+        # the ASEP kernel rule's calls have their own engine entry
+        entry = "_node_survival" if column == "analytic_asep" else "_expected_survival"
+        survival = getattr(analytic, entry)
 
         def nan_at_target(factors, kappa, gains):
             value = survival(factors, kappa, gains)
@@ -296,7 +300,7 @@ class TestRunSweep:
             sizes.append(inputs.gamma_bar_p.shape)
             return form(inputs, *args)
 
-        monkeypatch.setattr(analytic, "_expected_survival", nan_at_target)
+        monkeypatch.setattr(analytic, entry, nan_at_target)
         monkeypatch.setattr(cli, name, counted)
         rows = cli.run_sweep(plan, cfg, analytic_only=True)
         sending = sum(row.gamma_bar_s > 0.0 for row in clean)

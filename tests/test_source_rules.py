@@ -121,6 +121,34 @@ def test_closed_forms_have_one_summation_path():
     assert fsums(tree) == fsums(asep[0]) == 1
 
 
+def test_only_the_kernel_contracts_a_node_axis():
+    # the ASEP kernel rule alone contracts each row's nodes in one matrix
+    # product (``_node_survival``); every lattice caller (the power solve,
+    # the cdfs and their theta arrays) keeps the engine's vector-matrix
+    # product per element, on which the batch-invariance tests rest
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+    reached = {f"{path.name}:{fn.name}" for path in SOURCES
+               for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(fn, ast.FunctionDef) and fn.name != "_node_survival"
+               and "_node_survival" in names(fn)}
+    assert reached == {"analytic.py:asep_kernel_scenario_a"}, sorted(reached)
+
+    def products(fn):
+        return [n for n in ast.walk(fn) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr in ("matmul", "dot", "einsum", "tensordot")]
+    tree = ast.parse(Path(analytic.__file__).read_text())
+    found = {fn.name: products(fn) for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and products(fn)}
+    assert sorted(found) == ["_node_survival", "_survival_terms"], sorted(found)
+    # the per-element product multiplies logs[..., None, :], a 1 x k matrix
+    (per_element,) = found["_survival_terms"]
+    assert any(isinstance(n, ast.Constant) and n.value is None
+               for n in ast.walk(per_element.args[0]))
+
+
 def test_documented_csv_header_matches_the_sweep():
     # the README's CSV block and the cli docstring state the CSV contract;
     # with line breaks removed, both must be the header the sweep writes
