@@ -18,9 +18,9 @@ sweep reports takes one link set with float SNRs or 1-D arrays of them
 ``(inputs, theta)`` and share one theta rule, ``_cdf``: theta is a float
 or an array broadcast against the rows as numpy broadcasts, the value is
 elementwise (0 where theta = 0; a float for a float and float SNRs), and
-a negative theta raises ValueError.  The printed forms in the source
-material contain transcription slips, so every function is assembled
-directly from the underlying expectation integrals; the quadrature
+a negative, NaN or infinite theta raises ValueError.  The printed forms
+in the source material contain transcription slips, so every function is
+assembled directly from the underlying expectation integrals; the quadrature
 oracles in :mod:`cogrelay.oracle` and the Monte Carlo engine arbitrate.
 
 Terms are put together in the log domain, so integer severities up to ~8
@@ -84,9 +84,6 @@ _KERNEL_OFFSETS, _KERNEL_WEIGHTS = (a[100 - 72:] for a in de_rule(1.0 / 16.0, 10
 # chi1 or chi2 over a block of rows x 173 nodes, each row's from one matrix
 # product.  2**15 (256 KB) sets each factor's block: on analytic_highm 3
 # rows for chi1 (56 terms) and 12 for chi2 (15), on example.cfg 18 and 63.
-# On analytic_highm (2 vCPUs, numpy 2.4.6, one BLAS thread) the kernel
-# takes 6.8 ms of a 12.6 ms sweep, against 10.8 of 16.4 ms with one
-# vector-matrix product per row and node.
 _KERNEL_FLOATS = 2 ** 15
 
 # Stands in for log 0 in the term engine: times an exponent 0 it adds 0
@@ -247,14 +244,19 @@ def _node_survival(factors, kappa, gains):
     return terms.sum(axis=-1)
 
 
+def _table(factors, gains) -> tuple[np.ndarray, ...]:
+    """The ``_term_table`` of one engine call's ``factors`` and ``gains``."""
+    return _term_table(tuple(m if isinstance(m, int) else np.shape(m)[-1] for m, _ in factors),
+                       tuple(m for m, _, _ in gains))
+
+
 def _survival_logs(factors, kappa, gains):
     """Per element of the engine's broadcast shape, the logs to contract
     with the exponent table, along a last axis; with the table and the
     log constants (weights added) of its terms."""
-    orders = tuple(m if isinstance(m, int) else np.shape(m)[-1] for m, _ in factors)
     cs = [c for _, c in factors]
     s = sum(cs)
-    expo, const = _term_table(orders, tuple(m for m, _, _ in gains))
+    expo, const = _table(factors, gains)
     for f, (w, _) in enumerate(factors):
         if not isinstance(w, int):
             w = np.asarray(w, dtype=float)
@@ -443,44 +445,34 @@ class _Rates:
         return b + self.qx * (self.beta + 1.0) + self.qw
 
 
-def _chi1_args(inp: SecondaryCdfInputs, theta, r: _Rates):
-    """Engine arguments (factors, kappa, gains) of chi1 = E_{Z,Y}[Pr{X > (Z
-    + Y + beta + 1) theta / gr}] at rates ``r``."""
-    return [(inp.x.m, r.qx * theta)], r.beta + 1.0, [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)]
-
-
-def _chi2_args(inp: SecondaryCdfInputs, theta, r: _Rates):
-    """Engine arguments of chi2 = E_Z[Pr{W > (Z + 1) theta / gr}], as ``_chi1_args``."""
-    return [(inp.w.m, r.qw * theta)], 1.0, [(inp.z.m, 1.0, r.bz)]
-
-
-def _chi1(inp: SecondaryCdfInputs, theta, r: _Rates | None = None):
-    """chi1, elementwise over ``theta`` broadcast against the rows of
-    ``inp``; given rates ``r`` replace ``_Rates(inp)``, and ``inp`` gives
-    the shapes."""
-    return _expected_survival(*_chi1_args(inp, theta, _Rates(inp) if r is None else r))
-
-
-def _chi2(inp: SecondaryCdfInputs, theta):
-    """chi2, as ``_chi1``."""
-    return _expected_survival(*_chi2_args(inp, theta, _Rates(inp)))
+def _direction_args(inp: SecondaryCdfInputs, theta, r: _Rates):
+    """The direction law: the engine arguments (factors, kappa, gains) of
+    chi1 = E_{Z,Y}[Pr{X > (Z + Y + beta + 1) theta / gr}] and of chi2 =
+    E_Z[Pr{W > (Z + 1) theta / gr}], in that order, at rates ``r``.
+    ``cdf_scenario_a``, ``_survival_side`` and the ASEP kernel all read it;
+    ``_asep_terms`` keeps the paper's chi1 chi2 tables on purpose, as the
+    paper's expression rather than the law."""
+    return [([(inp.x.m, r.qx * theta)], r.beta + 1.0, [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)]),
+            ([(inp.w.m, r.qw * theta)], 1.0, [(inp.z.m, 1.0, r.bz)])]
 
 
 def _cdf(theta, cdf, where: str):
     """The theta rule of every secondary cdf: ``cdf(theta)`` clamped to [0, 1],
     0 where theta = 0 (``cdf`` sees 1 there, so no zero scale reaches a
-    log), a float for a float and float SNRs; a negative theta raises."""
+    log), a float for a float and float SNRs; a negative, NaN or infinite theta raises."""
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0):
-        raise ValueError("theta must be nonnegative")
+    if not np.all((0.0 <= theta) & (theta < math.inf)):
+        raise ValueError("theta must be nonnegative and finite")
     zero = theta == 0.0
     return _clamp_probability(np.where(zero, 0.0, cdf(np.where(zero, 1.0, theta))), where)
 
 
 def cdf_scenario_a(inputs: SecondaryCdfInputs, theta):
     """cdf at ``theta`` of the upper-bounded SINR at source 1 in
-    Scenario (a): 1 - chi1 * chi2."""
-    return _cdf(theta, lambda t: 1.0 - _chi1(inputs, t) * _chi2(inputs, t), "cdf_scenario_a")
+    Scenario (a): 1 - chi1 * chi2 (``_direction_args``)."""
+    r = _Rates(inputs)
+    return _cdf(theta, lambda t: 1.0 - math.prod(
+        _expected_survival(*args) for args in _direction_args(inputs, t, r)), "cdf_scenario_a")
 
 
 def _side_weights(cx, bv, s, mx: int, mv: int) -> tuple[np.ndarray, np.ndarray]:
@@ -500,7 +492,7 @@ def _survival_side(inp: SecondaryCdfInputs, theta):
     """E[Q(mx, cx (max(L, V) + 1))] = Pr{X > max(Z + Y + beta + 1, V + 1)
     theta / gr} with L = beta + Z + Y and cx = qx theta, split on V <= L:
     chi1 - E[Q(mx, cx (L+1)) Q(mv, bv L)] + E[Q(mx, cx (V+1)); V > L], as
-    Pr{V > L | L} = Q(mv, bv L); elementwise, as ``_chi1``.
+    Pr{V > L | L} = Q(mv, bv L); elementwise, as ``_expected_survival``.
 
     Both expectations are engine calls over L.  With q_n = Q(mx-n, cx),
     Q(mx, cx (L+1)) = e^{-cx L} sum_{n<mx} q_n (cx L)^n / n!, a factor at
@@ -515,7 +507,7 @@ def _survival_side(inp: SecondaryCdfInputs, theta):
     s = cx + r.bv
     q, upper = _side_weights(cx, r.bv, s, mx, mv)
     gains = [(inp.y.m, 1.0, r.by), (inp.z.m, 1.0, r.bz)]
-    return (_chi1(inp, theta, r)
+    return (_expected_survival(*_direction_args(inp, theta, r)[0])
             - _expected_survival([(q, cx), (mv, r.bv)], r.beta, gains)
             + _expected_survival([(upper, s)], r.beta, gains))
 
@@ -543,7 +535,7 @@ def cdf_scenario_a_e2e(inputs: SecondaryCdfInputs, theta):
 def _relay_pair_survival(inp: SecondaryCdfInputs, theta):
     """Survival at ``theta`` of the per-relay pair SINR
     gr * min(X, W) / (Y + beta + 1) (source nodes noise-limited);
-    elementwise, as ``_chi1``."""
+    elementwise, as ``_expected_survival``."""
     r = _Rates(inp)
     return _expected_survival([(inp.x.m, r.qx * theta), (inp.w.m, r.qw * theta)],
                               r.beta + 1.0, [(inp.y.m, 1.0, r.by)])
@@ -590,28 +582,27 @@ def asep_kernel_scenario_a(inputs: SecondaryCdfInputs, mod: ModulationSpec):
     of the direction cdf 1 - chi1 chi2, by a fixed 173-node double-exponential
     rule in x = ln g centred on the peak g0 = 1/(2 mu) of g^{1/2} e^{-mu g},
     where mu is the integrand's decay rate; the dropped left tail is worth
-    at most 1.0e-21 sqrt(g0) (see ``_KERNEL_OFFSETS``).  Each row's chi1
-    and chi2 terms over its 173 nodes come from one matrix product
-    (``_node_survival``), so a row's value does not depend on the others.
-    The terms of a factor over a block of rows fill at most
+    at most 1.0e-21 sqrt(g0) (see ``_KERNEL_OFFSETS``).  Each row's terms
+    of each factor of ``_direction_args`` over its 173 nodes come from one
+    matrix product (``_node_survival``), so a row's value does not depend on
+    the others.  The terms of a factor over a block of rows fill at most
     ``_KERNEL_FLOATS``, so each factor has its own block (on analytic_highm
     3 rows for chi1 and 12 for chi2), and the rows go through in super-blocks
     of the larger one on slices of the rates."""
     rates = _Rates(replace(inputs, **{name: np.reshape(getattr(inputs, name), (-1, 1))
                                       for name in _POWERS}))
-    chis = [(args, max(1, _KERNEL_FLOATS // (_KERNEL_OFFSETS.size
-                                             * len(_term_table(orders, shapes)[1]))))
-            for args, orders, shapes in [(_chi1_args, (inputs.x.m,), (inputs.y.m, inputs.z.m)),
-                                         (_chi2_args, (inputs.w.m,), (inputs.z.m,))]]
-    step = max(rows for _, rows in chis)
+    blocks = [max(1, _KERNEL_FLOATS // (_KERNEL_OFFSETS.size * len(_table(factors, gains)[1])))
+              for factors, _, gains in _direction_args(inputs, 1.0, rates)]
+    step = max(blocks)
     log_peak = np.log(0.5 / rates.kernel_rate(mod.b))
     kernel = np.empty(len(log_peak))
     for start in range(0, len(kernel), step):
         r, g = rates[start:start + step], np.exp(log_peak[start:start + step] + _KERNEL_OFFSETS)
         f = np.exp(-mod.b * g) * np.sqrt(g)
-        for args, rows in chis:
+        for i, rows in enumerate(blocks):
             for at in range(0, len(g), rows):
-                f[at:at + rows] *= _node_survival(*args(inputs, g[at:at + rows], r[at:at + rows]))
+                f[at:at + rows] *= _node_survival(
+                    *_direction_args(inputs, g[at:at + rows], r[at:at + rows])[i])
         kernel[start:start + step] = (_KERNEL_WEIGHTS * f).sum(axis=-1)
     return _asep_value(kernel.reshape(np.shape(inputs.gamma_bar_p)), mod,
                        "asep_kernel_scenario_a")

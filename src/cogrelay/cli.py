@@ -341,10 +341,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="override the Monte Carlo trial count")
     p.add_argument("--seed", type=int, help="override the Monte Carlo seed")
     p.add_argument("--output", help="CSV output path (default: stdout)")
-    p.add_argument("--analytic-only", action="store_true",
-                   help="skip Monte Carlo columns")
-    p.add_argument("--mc-only", action="store_true",
-                   help="skip closed-form columns")
+    modes = p.add_mutually_exclusive_group()
+    modes.add_argument("--analytic-only", action="store_true",
+                       help="skip Monte Carlo columns")
+    modes.add_argument("--mc-only", action="store_true",
+                       help="skip closed-form columns")
     p.add_argument("--selfcheck", action="store_true",
                    help="run the closed-form vs quadrature suite and exit")
     return p
@@ -357,8 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_selfcheck()
     if not args.config:
         parser.error("--config is required unless --selfcheck is given")
-    if args.analytic_only and args.mc_only:
-        parser.error("--analytic-only and --mc-only are mutually exclusive")
     try:
         cfg = load_config(args.config)
     except OSError as exc:

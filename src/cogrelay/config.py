@@ -61,6 +61,16 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _db(raw: str) -> float:
+    """A finite dB value whose linear power 10^(x/10) is a positive finite float."""
+    try:
+        if db_to_linear(value := _finite(raw)) > 0.0:
+            return value
+    except OverflowError:
+        pass
+    raise ValueError(f"{raw!r} dB is no positive finite power")
+
+
 def _list_of(kind):
     """Parser of a comma-separated list of ``kind`` values."""
     return lambda raw: tuple(kind(item) for item in raw.split(","))
@@ -71,12 +81,12 @@ def _list_of(kind):
 # left out takes its default from ``parse_config`` (``relays`` is 1, a
 # sweep's ``relay_counts`` is ``(relays,)``) or from ``SweepPlan``.
 _GRAMMAR = {
-    "primary": {"rate": (_finite, True), "snr_db": (_finite, True)},
+    "primary": {"rate": (_finite, True), "snr_db": (_db, True)},
     "secondary": {"scenario": (str, True), "relays": (int, False),
-                  "threshold_db": (_finite, True), "max_source_snr_db": (_finite, True),
-                  "max_relay_snr_db": (_finite, True)},
+                  "threshold_db": (_db, True), "max_source_snr_db": (_db, True),
+                  "max_relay_snr_db": (_db, True)},
     "links": {"m": (int, True), "mean_gain": (_finite, True)},
-    "sweep": {"axis": (str, True), "start_db": (_finite, True), "stop_db": (_finite, True),
+    "sweep": {"axis": (str, True), "start_db": (_db, True), "stop_db": (_db, True),
               "step_db": (_finite, True), "outage_thresholds": (_list_of(_finite), True),
               "relay_counts": (_list_of(int), False), "trials": (int, False),
               "seed": (int, False)},

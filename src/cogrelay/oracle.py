@@ -12,14 +12,13 @@ node count, which every integer-order survival Q(m, c(t + k)) is.
 The secondary oracles take theta as the closed forms do, through one rule
 (``_secondary``, ``_at``): a float, or an array whose axes lead the rules'
 node axes, with the value elementwise (0 where theta = 0 for the cdfs; a
-float for a float), and a negative theta raises ValueError.
+float for a float), and a negative, NaN or infinite theta raises ValueError.
 
-The outage oracles share no code with the closed forms.  ``asep_oracle``
-is the exception: by default its inner cdf is the closed-form
-``cdf_scenario_a``, so it checks the kernel integration only;
-``use_oracle_cdf=True`` swaps in the oracle cdf.  These routines exist for
-tests and the self-check.  For Scenario (a) they evaluate the closed
-forms' products of expectations, not the joint bounded-SINR laws.
+Every oracle is its definition, ``asep_oracle`` included (its inner cdf is
+``cdf_oracle_scenario_a``), and takes nothing from :mod:`cogrelay.analytic`
+but the two input records.  These routines exist for tests and the
+self-check.  For Scenario (a) they evaluate the closed forms' products of
+expectations, not the joint bounded-SINR laws.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc, roots_genlaguerre, roots_legendre
 
 from .model import ModulationSpec
-from .analytic import PrimaryOutageInputs, SecondaryCdfInputs, cdf_scenario_a
+from .analytic import PrimaryOutageInputs, SecondaryCdfInputs
 
 __all__ = [
     "primary_outage_oracle",
@@ -61,13 +60,13 @@ def _gamma_rule(m: int, rate: float, tilt):
 
 
 def _secondary(inp: SecondaryCdfInputs, theta):
-    """The oracles' theta rule: theta as an array (a negative entry
-    raises), beta, the Gamma rates (by, bz, bv) of the normalized
-    interference Y, Z and V (None for a link Scenario (b) lacks), and the
-    survival rates cx, cw of X and W."""
+    """The oracles' theta rule: theta as an array (a negative, NaN or
+    infinite entry raises), beta, the Gamma rates (by, bz, bv) of the
+    normalized interference Y, Z and V (None for a link Scenario (b)
+    lacks), and the survival rates cx, cw of X and W."""
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0):
-        raise ValueError("theta must be nonnegative")
+    if not np.all((0.0 <= theta) & (theta < math.inf)):
+        raise ValueError("theta must be nonnegative and finite")
     gp, gs, gr = inp.gamma_bar_p, inp.gamma_bar_s, inp.gamma_bar_r
     rates = (inp.y.rate * gs / (gr * gp),
              *(None if link is None else link.rate / gp for link in (inp.z, inp.v)))
@@ -144,19 +143,18 @@ def cdf_oracle_scenario_a_e2e(inputs: SecondaryCdfInputs, theta):
                   * survival_side_oracle(inputs.swapped(), theta))
 
 
-def asep_oracle(inputs: SecondaryCdfInputs, mod: ModulationSpec,
-                use_oracle_cdf: bool = False) -> float:
+def asep_oracle(inputs: SecondaryCdfInputs, mod: ModulationSpec) -> float:
     """The kernel average a*sqrt(b)/(2 sqrt(pi)) int_0^inf e^{-b g} g^{-1/2}
-    F(g) dg = a sqrt(b/pi) int_0^inf e^{-b u^2} F(u^2) du by composite
-    Gauss-Legendre on geometric panels in u.  ``use_oracle_cdf`` selects
-    the oracle cdf instead of the closed form for the inner F."""
+    F(g) dg = a sqrt(b/pi) int_0^inf e^{-b u^2} F(u^2) du of the direction
+    cdf F = ``cdf_oracle_scenario_a``, by composite Gauss-Legendre on
+    geometric panels in u."""
     a, b = mod.a, mod.b
     x, w = roots_legendre(_PANEL_NODES)
     edges = math.sqrt(_KERNEL_TOP / b) * _PANEL_RATIO ** np.arange(-_PANELS, 1.0)
     edges[0] = 0.0
     half = np.diff(edges)[:, None] / 2.0
     u = half * x + (edges[:-1, None] + half)
-    F = (cdf_oracle_scenario_a if use_oracle_cdf else cdf_scenario_a)(inputs, u * u)
+    F = cdf_oracle_scenario_a(inputs, u * u)
     return a * math.sqrt(b / math.pi) * float(np.sum(half * w * np.exp(-b * u * u) * F))
 
 

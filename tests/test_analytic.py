@@ -428,7 +428,8 @@ class TestDirectionCdf:
     @pytest.mark.parametrize("name", ["cdf_scenario_a", "cdf_scenario_a_e2e", "cdf_scenario_b"])
     def test_theta_array_equals_scalar_calls(self, name):
         # every secondary cdf takes a theta array elementwise, as its
-        # scalar calls bit for bit, and rejects a negative theta alike
+        # scalar calls bit for bit, and rejects a negative, NaN or infinite
+        # theta alike
         inputs = [SEC, SEC.swapped()] if name == "cdf_scenario_b" else SEC
         cdf = getattr(analytic, name)
         thetas = np.array([[0.0, 0.2, 1.0], [4.0, 0.0, 1e4]])
@@ -438,8 +439,8 @@ class TestDirectionCdf:
         assert {type(v) for v in scalars} == {float}
         assert _hex(grid.ravel()) == _hex(scalars)
         assert grid[0, 0] == grid[1, 1] == 0.0
-        for theta in (-0.1, np.array([1.0, -0.1])):
-            with pytest.raises(ValueError, match="nonnegative"):
+        for theta in (-0.1, np.array([1.0, -0.1]), math.nan, math.inf, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="theta must be nonnegative"):
                 cdf(inputs, theta)
 
     def test_monotone_in_theta(self):
@@ -700,9 +701,13 @@ SHAPE_CASES = {"analytic_highm": (6, 5, 4, 3), "example": (3, 2, 2, 1), "m8": (8
 SHAPES = pytest.mark.parametrize("shapes", list(SHAPE_CASES.values()), ids=list(SHAPE_CASES))
 
 
-@pytest.mark.parametrize("inp", [*(_shaped(*shapes) for shapes in SHAPE_CASES.values()),
-                                 replace(_shaped(6, 5, 4, 3), z=L(3, 0.5), gamma_bar_p=1000.0)],
-                         ids=[*SHAPE_CASES, "interference_heavy"])
+KERNEL_CASES = pytest.mark.parametrize(
+    "inp", [*(_shaped(*shapes) for shapes in SHAPE_CASES.values()),
+            replace(_shaped(6, 5, 4, 3), z=L(3, 0.5), gamma_bar_p=1000.0)],
+    ids=[*SHAPE_CASES, "interference_heavy"])
+
+
+@KERNEL_CASES
 def test_trimmed_kernel_rule_matches_the_full_rule(inp, monkeypatch):
     # the kernel integral itself (not the ASEP a/2 - c kernel, which would
     # hide its last bits) on seven rows around each input, in blocks
@@ -721,6 +726,21 @@ def _spread(inp, rows):
     """``inp`` with 1-D SNR arrays of ``rows`` rows around its SNRs."""
     return replace(inp, **{name: getattr(inp, name) * np.geomspace(0.1, 10.0, rows)
                            for name in analytic._POWERS})
+
+
+@KERNEL_CASES
+def test_kernel_integrates_the_direction_cdf(inp):
+    # the kernel is the DE sum of e^{-b g} sqrt(g) (1 - cdf_scenario_a) on
+    # its nodes, row by row: whatever replaces the direction law must keep
+    # the value the sweep reports the kernel average of the public cdf
+    inp, mod = _spread(inp, 7), mpsk_constants(4)
+    kernel = asep_kernel_scenario_a(inp, mod)
+    for i in range(7):
+        row = replace(inp, **{name: float(getattr(inp, name)[i]) for name in analytic._POWERS})
+        g = np.exp(np.log(0.5 / analytic._Rates(row).kernel_rate(mod.b)) + analytic._KERNEL_OFFSETS)
+        f = np.exp(-mod.b * g) * np.sqrt(g) * (1.0 - cdf_scenario_a(row, g))
+        want = analytic._asep_value((analytic._KERNEL_WEIGHTS * f).sum(), mod, "reference")
+        assert abs(kernel[i] - want) <= 1e-14, (i, kernel[i], want)
 
 
 def test_kernel_rows_do_not_depend_on_their_blocks(monkeypatch):
@@ -754,15 +774,14 @@ def test_node_contraction_matches_the_per_element_engine(shapes):
     r = analytic._Rates(replace(inp, **{name: getattr(inp, name)[:, None]
                                         for name in analytic._POWERS}))
     g = np.exp(np.log(0.5 / r.kernel_rate(mpsk_constants(4).b)) + analytic._KERNEL_OFFSETS)
-    for args in (analytic._chi1_args, analytic._chi2_args):
-        call = args(inp, g, r)
+    for i, call in enumerate(analytic._direction_args(inp, g, r)):
         nodes, each = analytic._node_survival(*call), analytic._expected_survival(*call)
         assert nodes.shape == each.shape == g.shape and (each > 0.0).all()
         logs, expo, const = analytic._survival_logs(*call)
         scale = np.matmul(np.abs(logs), expo.T) + np.abs(const)
         scale = np.where(scale < 1e299, scale, 0.0).max(axis=-1)
         assert (np.abs(np.log(nodes / each)) <= 4.0 * np.spacing(1.0 + scale)).all(), \
-            args.__name__
+            f"chi{i + 1}"
 
 
 def test_kernel_memory_is_block_sized():
@@ -888,6 +907,12 @@ def _mp_relay_phase_survival(mp, inp):
         for ell in range(inp.e.m) for i in range(ell + 1))
 
 
+def _chi(i):
+    """chi1 (i = 0) or chi2 (i = 1) of the direction law, as (inputs, theta)."""
+    return lambda inp, theta: analytic._expected_survival(
+        *analytic._direction_args(inp, theta, analytic._Rates(inp))[i])
+
+
 def _mp_chi1(mp, inp, theta):
     r = analytic._Rates(inp)
     cx, beta1 = mp.mpf(r.qx * theta), mp.mpf(r.beta + 1.0)
@@ -995,7 +1020,7 @@ def test_closed_forms_match_50_digit_term_sums(prim, sec):
             float(1 - _mp_primary_survival(mp, prim)), rel=1e-12, abs=1e-15)
         assert relay_phase_outage(prim) == pytest.approx(
             float(1 - _mp_relay_phase_survival(mp, prim)), rel=1e-12, abs=1e-15)
-        for got, ref in [(analytic._chi1, _mp_chi1), (analytic._chi2, _mp_chi2),
+        for got, ref in [(_chi(0), _mp_chi1), (_chi(1), _mp_chi2),
                          (analytic._relay_pair_survival, _mp_relay_pair_survival)]:
             want = np.array([float(ref(mp, sec, theta)) for theta in thetas.tolist()])
             # the calls at each theta and the one call over all of them
@@ -1009,7 +1034,7 @@ def test_closed_forms_match_50_digit_term_sums(prim, sec):
         for side in (sec, sec.swapped()):
             for theta in thetas.tolist():
                 want = _mp_survival_side(mp, side, theta)
-                ratio = analytic._chi1(side, theta) / float(want)
+                ratio = _chi(0)(side, theta) / float(want)
                 assert analytic._survival_side(side, theta) == pytest.approx(
                     float(want), rel=1e-12 + 2e-14 * ratio, abs=0.0)
 

@@ -242,6 +242,19 @@ class TestErrors:
             parse_config(text)
         assert err.value.line == self._line_of(text, bad)
 
+    @pytest.mark.parametrize("value", ["4000", "-4000"])
+    @pytest.mark.parametrize("key", ["snr_db", "threshold_db", "max_source_snr_db",
+                                     "max_relay_snr_db", "start_db", "stop_db"])
+    def test_db_beyond_float_range_reports_its_line(self, key, value):
+        # 10^(x/10) overflows above about 3082.5 dB, which raised a bare
+        # OverflowError, and underflows to a zero power far below 0 dB
+        (line,) = [ln for ln in BASE.splitlines() if ln.startswith(f"{key} = ")]
+        bad = f"{key} = {value}"
+        text = BASE.replace(line, bad, 1)
+        with pytest.raises(ConfigError, match=f"invalid value '{value}' for key '{key}'") as err:
+            parse_config(text)
+        assert err.value.line == self._line_of(text, bad)
+
     @pytest.mark.parametrize("relays", [0, -2])
     def test_relays_out_of_range_reports_the_secondary_header(self, relays):
         # checked before the link and sweep sections read the relay count

@@ -67,12 +67,12 @@ def _package_imports(path):
 
 def test_oracles_share_no_code_with_the_closed_forms():
     # the oracle docstring's claim: from the closed forms the oracles take
-    # only the input records and the cdf that asep_oracle integrates by
-    # default, and nothing of the special functions (no DE rule, no term engine)
+    # only the input records, and nothing of the special functions (no DE
+    # rule, no term engine)
     found = _package_imports(Path(oracle.__file__))
     assert ("analytic", "SecondaryCdfInputs") in found
     assert {name for module, name in found if module == "analytic"} <= \
-        {"PrimaryOutageInputs", "SecondaryCdfInputs", "cdf_scenario_a"}, sorted(found)
+        {"PrimaryOutageInputs", "SecondaryCdfInputs"}, sorted(found)
     assert not any(module == "specfun" for module, _ in found), sorted(found)
 
 
